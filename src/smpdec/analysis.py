@@ -11,11 +11,10 @@ optimistic trajectory.  In exact mode the two coincide.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence
 
-from .de import de_run
+from .de import de_run, resolve_mode
 
 #: Column order shared by the CSV and JSON table outputs.
 TABLE_COLUMNS = ("dv", "dc", "q", "eps_star_lower", "eps_star_upper",
@@ -77,8 +76,7 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
     """
     if bisect_tol < MIN_BISECT_TOL:
         raise ValueError(f"bisect_tol must be >= {MIN_BISECT_TOL}")
-    if mode is None:
-        mode = "exact" if q == 2 else "bounded"
+    mode = resolve_mode(q, mode)
 
     ceiling = (q - 1) / q
     cache: dict[float, tuple[bool, bool]] = {}
@@ -138,12 +136,3 @@ def table_report(ensembles: Sequence[tuple[int, int]],
                 "eps_shannon": shannon_limit(q, rate),
             })
     return rows
-
-
-def rows_to_csv(rows: Iterable[dict], stream: TextIO) -> None:
-    """Write table rows as CSV with the fixed column order."""
-    writer = csv.DictWriter(stream, fieldnames=TABLE_COLUMNS,
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row[col] for col in TABLE_COLUMNS})

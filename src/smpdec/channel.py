@@ -31,10 +31,18 @@ class ChannelParams:
     epsilon: float
 
     def __post_init__(self):
-        q = self.field.q
-        if not 0 <= self.epsilon < (q - 1) / q:
-            raise ValueError(
-                f"epsilon must be in [0, {(q - 1) / q}), got {self.epsilon}")
+        check_epsilon(self.field.q, self.epsilon)
+
+
+def check_epsilon(q: int, epsilon: float) -> None:
+    """Reject flip probabilities outside [0, (q-1)/q).
+
+    Every entry point that takes a channel flip probability applies this
+    one rule: the decoder, density evolution and ChannelParams.
+    """
+    if not 0.0 <= epsilon < (q - 1) / q:
+        raise ValueError(
+            f"epsilon must be in [0, {(q - 1) / q}) for q={q}, got {epsilon}")
 
 
 def transmit(x: np.ndarray, params: ChannelParams,
@@ -88,15 +96,6 @@ def weight_D(q: int, p: float) -> float:
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     return math.log(1.0 - p) - math.log(p / (q - 1))
-
-
-def llv(y: int, params: ChannelParams) -> tuple[int, float]:
-    """Sparse log-likelihood vector of a channel observation.
-
-    The dense vector has a single nonzero entry D(eps) at index y; the
-    sparse form is the pair (y, D(eps)).
-    """
-    return int(y), weight_D(params.field.q, params.epsilon)
 
 
 def shannon_limit(q: int, rate: float) -> float:

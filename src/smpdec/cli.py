@@ -20,13 +20,12 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .analysis import TABLE_COLUMNS, rows_to_csv, table_report
+from .analysis import TABLE_COLUMNS, table_report
 from .channel import capacity, shannon_limit
 from .code import sample_code, save_code
 from .de import de_run
 from .galois import build_field
-from .montecarlo import (RESULT_COLUMNS, StopRule, results_to_csv, simulate,
-                         sweep)
+from .montecarlo import RESULT_COLUMNS, StopRule, sweep
 
 DE_COLUMNS = ("iteration", "p0_lower", "p0_upper", "xi_lower", "xi_upper")
 
@@ -50,11 +49,12 @@ def _config_for(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, options=options)
 
 
-def _field_order(q: int):
+def _field_order(q: int) -> int:
+    """Degree m of the field GF(2^m) of order q; other orders are refused."""
     m = q.bit_length() - 1
     if q < 2 or (1 << m) != q:
         raise ValueError(f"field order must be a power of two >= 2, got {q}")
-    return build_field(m)
+    return m
 
 
 def _int_list(text: str) -> list[int]:
@@ -106,35 +106,31 @@ def _cmd_shannon(args: argparse.Namespace) -> str:
 
 
 def _cmd_de(args: argparse.Namespace) -> str:
+    _field_order(args.q)
     trace = de_run(args.dv, args.dc, args.q, args.eps, l_max=args.iters,
                    mode=args.mode)
-    config = _config_for(args)
     if args.format == "json":
-        return json.dumps({"config": config.to_dict(),
-                           "results": trace.to_json()}, indent=2) + "\n"
-    rows = [{"iteration": i,
-             "p0_lower": rec.p0.lower, "p0_upper": rec.p0.upper,
-             "xi_lower": rec.xi.lower, "xi_upper": rec.xi.upper}
-            for i, rec in enumerate(trace.records)]
-    return _render(config, "csv", rows, DE_COLUMNS)
+        results = trace.to_json()
+    else:
+        results = [{"iteration": i,
+                    "p0_lower": rec.p0.lower, "p0_upper": rec.p0.upper,
+                    "xi_lower": rec.xi.lower, "xi_upper": rec.xi.upper}
+                   for i, rec in enumerate(trace.records)]
+    return _render(_config_for(args), args.format, results, DE_COLUMNS)
 
 
 def _cmd_threshold(args: argparse.Namespace) -> str:
-    rows = table_report([(args.dv, args.dc)], _int_list(args.q),
+    q_values = _int_list(args.q)
+    for q in q_values:
+        _field_order(q)
+    rows = table_report([(args.dv, args.dc)], q_values,
                         mode=args.mode, bisect_tol=args.tol,
                         l_max=args.iters)
-    config = _config_for(args)
-    if args.format == "json":
-        return json.dumps({"config": config.to_dict(), "results": rows},
-                          indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write(_comment_block(config))
-    rows_to_csv(rows, buf)
-    return buf.getvalue()
+    return _render(_config_for(args), args.format, rows, TABLE_COLUMNS)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    field = _field_order(args.q)
+    field = build_field(_field_order(args.q))
     code = sample_code(args.n, args.dv, args.dc, field, seed=args.seed)
     epsilons = [args.eps] if args.eps is not None \
         else _float_list(args.eps_grid)
@@ -145,18 +141,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
                     seed=args.seed, workers=args.workers)
     if args.plot:
         _render_waterfall(results, args.plot)
-    config = _config_for(args)
-    if args.format == "json":
-        rows = [{"epsilon": r.epsilon, "frames": r.frames_run,
-                 "symbol_errors": r.symbol_errors, "frame_errors":
-                 r.frame_errors, "ser": r.ser, "fer": r.fer,
-                 "wall_time": r.wall_time} for r in results]
-        return json.dumps({"config": config.to_dict(), "results": rows},
-                          indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write(_comment_block(config))
-    results_to_csv(results, buf)
-    return buf.getvalue()
+    return _render(_config_for(args), args.format,
+                   [r.to_json() for r in results], RESULT_COLUMNS)
 
 
 def _render_waterfall(results, path: str) -> None:
@@ -188,7 +174,7 @@ def _render_waterfall(results, path: str) -> None:
 
 
 def _cmd_codegen(args: argparse.Namespace) -> str:
-    field = _field_order(args.q)
+    field = build_field(_field_order(args.q))
     code = sample_code(args.n, args.dv, args.dc, field, seed=args.seed)
     buf = io.StringIO()
     buf.write(_comment_block(_config_for(args)))
@@ -210,6 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default: csv)")
         p.add_argument("--out", metavar="PATH",
                        help="write output to this file instead of stdout")
+
+    def add_mode_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=("exact", "bounded"),
+                       help="default: exact for q = 2, bounded otherwise")
 
     p = sub.add_parser("capacity", help="QSC capacity at one flip "
                                         "probability")
@@ -235,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--iters", type=int, default=2000,
                    help="iteration cap (default: 2000)")
-    p.add_argument("--mode", choices=("exact", "bounded"),
-                   help="default: exact for q = 2, bounded otherwise")
+    add_mode_flag(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_de)
 
@@ -250,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bisection tolerance (default: 1e-4)")
     p.add_argument("--iters", type=int, default=2000,
                    help="iteration cap per evolution run (default: 2000)")
-    p.add_argument("--mode", choices=("exact", "bounded"),
-                   help="default: exact for q = 2, bounded otherwise")
+    add_mode_flag(p)
     add_output_flags(p)
     p.set_defaults(func=_cmd_threshold)
 

@@ -72,17 +72,6 @@ class CodeGraph:
         return 1.0 - self.dv / self.dc
 
     @cached_property
-    def vn_adjacency(self) -> list[np.ndarray]:
-        """Edge indices per VN, in socket order."""
-        return [np.arange(v * self.dv, (v + 1) * self.dv) for v in range(self.n)]
-
-    @cached_property
-    def cn_adjacency(self) -> list[np.ndarray]:
-        """Edge indices per CN, in the order given by ``cn_edge_perm``."""
-        perm = self.cn_edge_perm
-        return [perm[c * self.dc:(c + 1) * self.dc] for c in range(self.m_checks)]
-
-    @cached_property
     def cn_edge_perm(self) -> np.ndarray:
         """Edge permutation that groups edges by CN (dc consecutive each)."""
         return np.argsort(self.edge_cn, kind="stable")

@@ -2,14 +2,17 @@
 
 Tracks a single scalar per iteration: the probability p0 that a message
 equals the sent symbol (by symmetry every wrong symbol is equally likely).
-A check-node step turns p0 into the distribution of the check vote, a
-variable-node step turns the vote quality back into a new p0. The
-variable-node step is available in two flavours:
+A check-node step turns p0 into the probability omega0 that the check
+vote is correct (closed form), a variable-node step turns the vote
+quality back into a new p0. Both variable-node flavours walk the same
+vote-count events and differ only in how a score tie pays out:
 
-* ``vn_step_exact`` enumerates tie multiplicities exactly; its cost grows
-  quickly with dv and q, so it is guarded by a feasibility check.
-* ``vn_step_bounded`` replaces the tie-multiplicity expectation with
-  closed upper and lower bounds and is cheap for any dv and q > 2.
+* ``vn_step_exact`` averages 1/(argmax size) over the exact distribution
+  of how many symbols share the maximum.
+* ``vn_step_bounded`` replaces that average with closed lower and upper
+  bounds (q > 2); its interval is exact wherever no tie can occur.
+
+Both cost the same ball-counting work, cached across calls.
 
 ``de_run`` iterates either flavour and reports the full trajectory, from
 which decoder weight schedules and convergence thresholds are derived.
@@ -21,11 +24,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .channel import weight_ratio
+from .channel import check_epsilon, weight_ratio
 
 __all__ = [
     "BoundedProb",
-    "CnDistribution",
     "DeTrace",
     "IterationRecord",
     "cn_step",
@@ -33,6 +35,7 @@ __all__ = [
     "multinomial_max_cdf",
     "multinomial_max_eq_count_dist",
     "psi",
+    "resolve_mode",
     "vn_step_bounded",
     "vn_step_exact",
 ]
@@ -40,10 +43,6 @@ __all__ = [
 #: A channel weight within this distance of an integer is treated as
 #: integral, activating the score-tie branches of the update.
 WEIGHT_TIE_TOL = 1e-9
-
-#: Exact variable-node updates are refused when the number of message
-#: multisets C(dv-1+q-1, q-1) exceeds this bound.
-EXACT_SIZE_LIMIT = 10_000_000
 
 
 # ----------------------------------------------------------------------
@@ -70,10 +69,6 @@ class BoundedProb:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -176,40 +171,21 @@ def psi(j: int, a: int, q: int) -> float:
     return (1.0 - r) / q
 
 
-@dataclass(frozen=True)
-class CnDistribution:
-    """Distribution of a check vote: correct w.p. omega0, else uniform."""
-
-    q: int
-    omega0: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega0", min(max(self.omega0, 0.0), 1.0))
-
-    @property
-    def omega_other(self) -> float:
-        return (1.0 - self.omega0) / (self.q - 1)
-
-    @property
-    def xi(self) -> float:
-        return 1.0 - self.omega0
-
-
-def cn_step(p0: float, dc: int, q: int) -> CnDistribution:
-    """Distribution of the vote formed from dc - 1 incoming messages.
+def cn_step(p0: float, dc: int, q: int) -> float:
+    """Probability omega0 that the vote formed from dc - 1 messages is correct.
 
     Each incoming message is correct with probability p0 and otherwise
-    uniform over the wrong symbols; edge labels preserve that shape, so
-    the vote error rate depends only on how many inputs are wrong.
+    uniform over the wrong symbols; edge labels preserve that shape.
+    Averaging psi over the binomial number of wrong inputs gives
+    omega0 = (1 + (q - 1) g^(dc-1)) / q with g = (q p0 - 1) / (q - 1);
+    a wrong vote is uniform over the q - 1 wrong symbols.
     """
     if dc < 2:
         raise ValueError(f"dc must be at least 2, got {dc}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be a probability, got {p0}")
-    omega0 = 0.0
-    for j in range(dc):
-        omega0 += _binom_pmf(j, dc - 1, 1.0 - p0) * psi(j, 0, q)
-    return CnDistribution(q=q, omega0=omega0)
+    g = (q * p0 - 1.0) / (q - 1)
+    return min(max((1.0 + (q - 1) * g ** (dc - 1)) / q, 0.0), 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -316,24 +292,6 @@ def _integral_weight(w: float) -> int | None:
     return None
 
 
-def _validate_vn_args(xi: float, epsilon: float, dv: int, q: int) -> None:
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must be in [0, 1], got {xi}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    if dv < 2:
-        raise ValueError(f"dv must be at least 2, got {dv}")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-
-
-def _check_exact_feasible(dv: int, q: int) -> None:
-    if math.comb(dv - 1 + q - 1, q - 1) > EXACT_SIZE_LIMIT:
-        raise ValueError(
-            f"exact variable-node update infeasible for dv={dv}, q={q}; "
-            "use the bounded mode")
-
-
 def _max_lt_eq(k: int, s: int, t: int) -> tuple[float, float]:
     """(P(max < t), P(max = t)) for s balls uniform over k cells, t >= 1."""
     if k == 0:
@@ -344,66 +302,107 @@ def _max_lt_eq(k: int, s: int, t: int) -> tuple[float, float]:
     return w_lt / total, (w_le - w_lt) / total
 
 
-def vn_step_exact(xi: float, epsilon: float, dv: int, q: int) -> float:
-    """Exact probability that the next message is correct.
+def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
+             tie_pay) -> tuple[float, float]:
+    """(lower, upper) probability that the next message is correct.
 
     The outgoing message is the symbol maximizing (vote count) + w for
     the observed symbol, w = D(epsilon)/D(xi), ties broken uniformly.
-    Tie multiplicities are enumerated exactly through the distribution
-    of the number of cells attaining the maximum.
+    The walk runs over the vote counts of the sent and the observed
+    symbol. At each event the sent symbol and c - 1 other named symbols
+    share the score t, while k further cells share s votes.
+    ``tie_pay(k, s, t, c, n_max)`` returns (lower, upper) bounds on the
+    chance that the sent symbol is picked: no such cell may exceed t,
+    and a tie is broken uniformly over an argmax of at most n_max
+    symbols. Only this payout differs between the exact and bounded
+    steps.
     """
-    _validate_vn_args(xi, epsilon, dv, q)
-    _check_exact_feasible(dv, q)
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    if dv < 2:
+        raise ValueError(f"dv must be at least 2, got {dv}")
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"xi must be in [0, 1], got {xi}")
+    check_epsilon(q, epsilon)
     w = weight_ratio(q, epsilon, xi)
     w_int = _integral_weight(w)
     w_floor = math.floor(w)
     s_tot = dv - 1
     k = q - 1
+    lo = up = 0.0
 
     # correct observation: f0 votes land on the sent symbol, the rest
     # fall uniformly on the k wrong cells; the sent symbol scores f0 + w
-    case_a = 0.0
     for f0 in range(s_tot + 1):
-        pf = _binom_pmf(f0, s_tot, 1.0 - xi)
+        pf = _binom_pmf(f0, s_tot, 1.0 - xi) * (1.0 - epsilon)
         if pf == 0.0:
             continue
         s = s_tot - f0
         if w_int is None:
             win = multinomial_max_cdf(k, s, f0 + w_floor)
+            lo += pf * win
+            up += pf * win
         else:
-            dist = multinomial_max_eq_count_dist(k, s, f0 + w_int)
-            win = sum(p / (1 + r) for r, p in enumerate(dist))
-        case_a += pf * win
+            t = f0 + w_int
+            p_lo, p_up = tie_pay(k, s, t, 1, 1 + min(s // t, k))
+            lo += pf * p_lo
+            up += pf * p_up
 
     # wrong observation: one wrong cell carries the channel weight; by
     # symmetry its identity is irrelevant, so it stands for all of them
-    case_b = 0.0
     p_cell1 = xi / k
     for f1 in range(s_tot + 1):
-        pf1 = _binom_pmf(f1, s_tot, p_cell1)
+        pf1 = _binom_pmf(f1, s_tot, p_cell1) * epsilon
         if pf1 == 0.0:
             continue
         rem = s_tot - f1
         pc = (1.0 - xi) / (1.0 - p_cell1) if rem else 1.0
         f0_min = f1 + (w_int if w_int is not None else w_floor) + 1
-        acc = 0.0
         for f0 in range(f0_min, rem + 1):
-            pf0 = _binom_pmf(f0, rem, pc)
+            pf0 = _binom_pmf(f0, rem, pc) * pf1
             if pf0 == 0.0:
                 continue
             # the sent symbol must also beat the q - 2 remaining cells
-            dist = multinomial_max_eq_count_dist(q - 2, rem - f0, f0)
-            acc += pf0 * sum(p / (1 + jo) for jo, p in enumerate(dist))
+            s = rem - f0
+            p_lo, p_up = tie_pay(k - 1, s, f0, 1, 1 + min(s // f0, k - 1))
+            lo += pf0 * p_lo
+            up += pf0 * p_up
         if w_int is not None and f1 + w_int <= rem:
             a1 = f1 + w_int
-            pf0 = _binom_pmf(a1, rem, pc)
+            pf0 = _binom_pmf(a1, rem, pc) * pf1
             if pf0 > 0.0:
-                # sent symbol ties the observed one; both join the argmax
-                dist = multinomial_max_eq_count_dist(q - 2, rem - a1, a1)
-                acc += pf0 * sum(p / (2 + jo) for jo, p in enumerate(dist))
-        case_b += pf1 * acc
+                # sent symbol ties the observed one; both join the argmax,
+                # and at most s_tot // a1 cells hold a1 votes
+                p_lo, p_up = tie_pay(k - 1, rem - a1, a1, 2,
+                                     1 + min(s_tot // a1, k))
+                lo += pf0 * p_lo
+                up += pf0 * p_up
 
-    return (1.0 - epsilon) * case_a + epsilon * case_b
+    return lo, up
+
+
+def _exact_tie_pay(k: int, s: int, t: int, c: int,
+                   n_max: int) -> tuple[float, float]:
+    """Expected 1/(argmax size) over the number r of cells also at t."""
+    dist = multinomial_max_eq_count_dist(k, s, t)
+    win = sum(p / (c + r) for r, p in enumerate(dist))
+    return win, win
+
+
+def _bounded_tie_pay(k: int, s: int, t: int, c: int,
+                     n_max: int) -> tuple[float, float]:
+    """1/(argmax size) bounded by 1/n_max and 1/(c + 1) once a cell ties."""
+    p_lt, p_eq = _max_lt_eq(k, s, t)
+    return p_lt / c + p_eq / n_max, p_lt / c + p_eq / (c + 1)
+
+
+def vn_step_exact(xi: float, epsilon: float, dv: int, q: int) -> float:
+    """Exact probability that the next message is correct.
+
+    Tie multiplicities are enumerated exactly through the distribution
+    of the number of cells attaining the maximum.
+    """
+    return _vn_walk(xi, epsilon, dv, q, _exact_tie_pay)[0]
 
 
 def vn_step_bounded(xi: float, epsilon: float, dv: int, q: int) -> BoundedProb:
@@ -414,67 +413,9 @@ def vn_step_bounded(xi: float, epsilon: float, dv: int, q: int) -> BoundedProb:
     whenever a tie occurs, and never more than the ball counts allow.
     Requires q > 2; at q = 2 the exact update is already cheap.
     """
-    _validate_vn_args(xi, epsilon, dv, q)
     if q <= 2:
         raise ValueError("bounded update needs q > 2; use vn_step_exact")
-    w = weight_ratio(q, epsilon, xi)
-    w_int = _integral_weight(w)
-    w_floor = math.floor(w)
-    s_tot = dv - 1
-    k = q - 1
-    k2 = q - 2
-
-    lo = up = 0.0
-    w_obs = 1.0 - epsilon
-    for f0 in range(s_tot + 1):
-        pf = _binom_pmf(f0, s_tot, 1.0 - xi) * w_obs
-        if pf == 0.0:
-            continue
-        s = s_tot - f0
-        if w_int is None:
-            win = multinomial_max_cdf(k, s, f0 + w_floor)
-            lo += pf * win
-            up += pf * win
-        else:
-            t = f0 + w_int
-            p_lt, p_eq = _max_lt_eq(k, s, t)
-            lo += pf * p_lt
-            up += pf * (p_lt + 0.5 * p_eq)
-            if p_eq > 0.0:
-                r_max = min(s // t, k)
-                lo += pf * p_eq / (1 + r_max)
-
-    w_obs = epsilon
-    p_cell1 = xi / k
-    for f1 in range(s_tot + 1):
-        pf1 = _binom_pmf(f1, s_tot, p_cell1) * w_obs
-        if pf1 == 0.0:
-            continue
-        rem = s_tot - f1
-        pc = (1.0 - xi) / (1.0 - p_cell1) if rem else 1.0
-        f0_min = f1 + (w_int if w_int is not None else w_floor) + 1
-        for f0 in range(f0_min, rem + 1):
-            pf0 = _binom_pmf(f0, rem, pc) * pf1
-            if pf0 == 0.0:
-                continue
-            p_lt, p_eq = _max_lt_eq(k2, rem - f0, f0)
-            lo += pf0 * p_lt
-            up += pf0 * (p_lt + 0.5 * p_eq)
-            if p_eq > 0.0:
-                r_max = min(rem // f0, k)
-                lo += pf0 * p_eq / r_max
-        if w_int is not None and f1 + w_int <= rem:
-            a1 = f1 + w_int
-            pf0 = _binom_pmf(a1, rem, pc) * pf1
-            if pf0 > 0.0:
-                p_lt, p_eq = _max_lt_eq(k2, rem - a1, a1)
-                lo += pf0 * 0.5 * p_lt
-                up += pf0 * (0.5 * p_lt + p_eq / 3.0)
-                if p_eq > 0.0:
-                    r_max = min(s_tot // a1, k)
-                    lo += pf0 * p_eq / (1 + r_max)
-
-    return BoundedProb(lo, up)
+    return BoundedProb(*_vn_walk(xi, epsilon, dv, q, _bounded_tie_pay))
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +429,8 @@ def _xi_bounds(p_lo: float, p_up: float, dc: int, q: int) -> tuple[float, float]
     for even degree its minimum over an interval straddling g = 0 sits
     at g = 0, otherwise extremes are at the endpoints.
     """
-    o_lo = cn_step(p_lo, dc, q).omega0
-    o_up = cn_step(p_up, dc, q).omega0
+    o_lo = cn_step(p_lo, dc, q)
+    o_up = cn_step(p_up, dc, q)
     o_min = min(o_lo, o_up)
     o_max = max(o_lo, o_up)
     if (dc - 1) % 2 == 0 and q * p_lo < 1.0 < q * p_up:
@@ -497,13 +438,28 @@ def _xi_bounds(p_lo: float, p_up: float, dc: int, q: int) -> tuple[float, float]
     return 1.0 - o_max, 1.0 - o_min
 
 
+def resolve_mode(q: int, mode: str | None = None) -> str:
+    """The variable-node mode for field order q.
+
+    ``mode`` if given, else exact for q = 2 and bounded otherwise; the
+    bounded step needs q > 2.
+    """
+    if mode is None:
+        return "exact" if q == 2 else "bounded"
+    if mode not in ("exact", "bounded"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "bounded" and q == 2:
+        raise ValueError("bounded mode needs q > 2; use exact for q = 2")
+    return mode
+
+
 def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
            mode: str | None = None, delta_conv: float = 1e-9) -> DeTrace:
     """Iterate density evolution and report the trajectory.
 
     mode "exact" uses the exact variable-node update, "bounded" evolves
-    a lower and an upper trajectory; None picks exact for q = 2 and
-    bounded otherwise. The run stops once the lower trajectory reaches
+    a lower and an upper trajectory; None picks as ``resolve_mode``
+    does. The run stops once the lower trajectory reaches
     1 - delta_conv (converged), stops making progress, or hits l_max.
     """
     if q < 2:
@@ -512,19 +468,10 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
         raise ValueError(f"dv must be at least 2, got {dv}")
     if dc < 2:
         raise ValueError(f"dc must be at least 2, got {dc}")
-    if not 0.0 <= epsilon < (q - 1) / q:
-        raise ValueError(
-            f"epsilon must be in [0, {(q - 1) / q}) for q={q}, got {epsilon}")
+    check_epsilon(q, epsilon)
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")
-    if mode is None:
-        mode = "exact" if q == 2 else "bounded"
-    if mode not in ("exact", "bounded"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "bounded" and q == 2:
-        raise ValueError("bounded mode needs q > 2; use exact for q = 2")
-    if mode == "exact":
-        _check_exact_feasible(dv, q)
+    mode = resolve_mode(q, mode)
 
     def make_record(p_lo: float, p_up: float) -> IterationRecord:
         xi_lo, xi_up = _xi_bounds(p_lo, p_up, dc, q)

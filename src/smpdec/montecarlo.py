@@ -11,12 +11,11 @@ index order; frames decoded beyond the stopping point are discarded.
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .smp import XiSchedule, decode
 #: SMPDEC_WORKERS environment variable is set.
 DEFAULT_WORKERS = 1
 
-#: CSV column order for sweep output.
+#: CSV column order for sweep output, a subset of SimResult.to_json keys.
 RESULT_COLUMNS = ("epsilon", "frames", "symbol_errors", "ser", "fer")
 
 
@@ -77,6 +76,12 @@ class SimResult:
     l_max: int
     seed: int
     wall_time: float
+
+    def to_json(self) -> dict:
+        return {"epsilon": self.epsilon, "frames": self.frames_run,
+                "symbol_errors": self.symbol_errors,
+                "frame_errors": self.frame_errors, "ser": self.ser,
+                "fer": self.fer, "wall_time": self.wall_time}
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -211,12 +216,3 @@ def sweep(code: CodeGraph, epsilons: Sequence[float], l_max: int,
     """
     return [simulate(code, eps, l_max, stop=stop, seed=seed,
                      workers=workers) for eps in epsilons]
-
-
-def results_to_csv(results: Iterable[SimResult], stream: TextIO) -> None:
-    """Write sweep results as CSV with the fixed column order."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for res in results:
-        writer.writerow([res.epsilon, res.frames_run, res.symbol_errors,
-                         res.ser, res.fer])

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PROB_FLOOR, weight_ratio
+from .channel import PROB_FLOOR, check_epsilon, weight_ratio
 from .code import CodeGraph
 
 __all__ = [
     "DecodeResult",
-    "EdgeMessages",
     "IterationDiag",
     "ScoreBoard",
     "XiSchedule",
@@ -115,19 +114,6 @@ class ScoreBoard:
         """Top symbol, ties resolved by the uniform draw u in [0, 1)."""
         ties = self.tie_set(drop_slot)
         return ties[min(int(u * len(ties)), len(ties) - 1)]
-
-
-@dataclass
-class EdgeMessages:
-    """Message buffers of one iteration, in VN-major edge order."""
-
-    vn_to_cn: np.ndarray
-    cn_to_vn: np.ndarray
-    iteration: int
-
-    def __post_init__(self) -> None:
-        if self.vn_to_cn.shape != self.cn_to_vn.shape:
-            raise ValueError("message arrays must have equal length")
 
 
 def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
@@ -239,7 +225,6 @@ class DecodeResult:
     decided: np.ndarray
     iterations: int
     diagnostics: list[IterationDiag]
-    final_messages: EdgeMessages
 
 
 def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
@@ -264,8 +249,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
         raise ValueError(f"received word must have length {code.n}")
     if y.min() < 0 or y.max() >= code.field.q:
         raise ValueError("received symbols outside the field")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    check_epsilon(code.field.q, epsilon)
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")
     if reference is not None:
@@ -280,7 +264,6 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     mu_vc = y[code.edge_vn].astype(np.int32)
     diagnostics: list[IterationDiag] = []
     decided = None
-    messages = None
     for it in range(1, l_max + 1):
         mu_cv = cn_update(code, mu_vc)
         xi = schedule.value_at(it)
@@ -297,8 +280,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
             decided, ties = _decision(code, mu_cv, y, epsilon, xi, gen)
             errors = int((decided != reference).sum()) \
                 if reference is not None else None
-        messages = EdgeMessages(vn_to_cn=mu_vc, cn_to_vn=mu_cv, iteration=it)
         diagnostics.append(IterationDiag(iteration=it, tie_events=ties,
                                          symbol_errors=errors))
     return DecodeResult(decided=decided, iterations=l_max,
-                        diagnostics=diagnostics, final_messages=messages)
+                        diagnostics=diagnostics)

@@ -1,12 +1,11 @@
 """Tests for threshold bisection and table generation."""
 
-import io
-
 import pytest
 
-from smpdec.analysis import (ThresholdResult, find_threshold, rows_to_csv,
+from smpdec.analysis import (TABLE_COLUMNS, ThresholdResult, find_threshold,
                              table_report)
 from smpdec.channel import shannon_limit
+from smpdec.cli import RunConfig, _render
 
 
 def test_threshold_3_5_q4_matches_reference_value():
@@ -66,9 +65,8 @@ def test_table_report_empty_field_list():
 def test_rows_to_csv_round_trip():
     rows = [{"dv": 3, "dc": 5, "q": 4, "eps_star_lower": 0.123,
              "eps_star_upper": 0.1234, "eps_shannon": 0.248}]
-    buf = io.StringIO()
-    rows_to_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
+    text = _render(RunConfig("threshold", {}), "csv", rows, TABLE_COLUMNS)
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "dv,dc,q,eps_star_lower,eps_star_upper,eps_shannon"
     cells = lines[1].split(",")
     assert cells[:3] == ["3", "5", "4"]

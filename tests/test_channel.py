@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chisquare
 
 from smpdec.galois import build_field
-from smpdec.channel import (ChannelParams, capacity, llv, shannon_limit,
+from smpdec.channel import (ChannelParams, capacity, shannon_limit,
                             transmit, weight_D, weight_ratio)
 
 
@@ -93,7 +93,7 @@ def test_capacity_strictly_decreasing():
 
 
 # ----------------------------------------------------------------------
-# weight_D and llv
+# weight_D
 # ----------------------------------------------------------------------
 
 def test_weight_values():
@@ -113,14 +113,6 @@ def test_weight_rejects_out_of_range():
         weight_D(4, 0.0)
     with pytest.raises(ValueError):
         weight_D(4, 1.0)
-
-
-def test_llv_sparse_form():
-    sym, w = llv(2, ChannelParams(F4, 0.25))
-    assert sym == 2
-    assert w == pytest.approx(math.log(9))
-    sym, w = llv(1, ChannelParams(F4, 0.75 - 1e-15))
-    assert w == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_de_json_trace(tmp_path):
     assert data["results"]["records"]
 
 
-def test_threshold_json_matches_table(tmp_path):
+def test_threshold_json_matches_table(tmp_path, capsys):
     out = tmp_path / "thr.json"
     rc = main(["threshold", "--dv", "3", "--dc", "5", "--q", "4",
                "--format", "json", "--out", str(out)])
@@ -69,6 +69,13 @@ def test_threshold_json_matches_table(tmp_path):
     assert rows[0]["eps_star_lower"] == pytest.approx(0.123, abs=1e-3)
     assert rows[0]["eps_shannon"] == pytest.approx(shannon_limit(4, 0.4),
                                                    abs=1e-9)
+    # the CSV form carries the same row under a fixed header
+    rc = main(["threshold", "--dv", "3", "--dc", "5", "--q", "4"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[2] == "dv,dc,q,eps_star_lower,eps_star_upper,eps_shannon"
+    assert lines[3].split(",") == [str(rows[0][col]) for col in (
+        "dv", "dc", "q", "eps_star_lower", "eps_star_upper", "eps_shannon")]
 
 
 def test_simulate_csv_grid(capsys):
@@ -131,6 +138,11 @@ def test_codegen_round_trip(tmp_path):
 
 
 def test_rejects_non_power_of_two_field(capsys):
-    rc = main(["capacity", "--q", "6", "--eps", "0.1"])
-    assert rc == 1
-    assert "power of two" in capsys.readouterr().err
+    for argv in (["capacity", "--q", "6", "--eps", "0.1"],
+                 ["de", "--dv", "3", "--dc", "6", "--q", "6", "--eps", "0.1"],
+                 ["threshold", "--dv", "3", "--dc", "6", "--q", "4,6"]):
+        rc = main(argv)
+        assert rc == 1, argv
+        captured = capsys.readouterr()
+        assert "power of two" in captured.err, argv
+        assert captured.out == "", argv

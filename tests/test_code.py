@@ -61,16 +61,6 @@ def test_sample_code_no_parallel_edges(seed):
     assert len(pairs) == code.edge_vn.size
 
 
-def test_adjacency_consistent_with_edges():
-    code = sample_code(20, 2, 4, F4, seed=5)
-    for v, edges in enumerate(code.vn_adjacency):
-        assert list(edges) == [e for e in range(code.edge_vn.size)
-                               if code.edge_vn[e] == v]
-    for c, edges in enumerate(code.cn_adjacency):
-        assert sorted(edges) == [e for e in range(code.edge_cn.size)
-                                 if code.edge_cn[e] == c]
-
-
 # ----------------------------------------------------------------------
 # Ensemble statistics
 # ----------------------------------------------------------------------

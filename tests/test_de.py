@@ -179,19 +179,14 @@ def test_psi_normalization(q):
 # ----------------------------------------------------------------------
 
 def test_cn_step_endpoints():
-    dist = cn_step(1.0, 6, 4)
-    assert dist.omega0 == pytest.approx(1.0)
-    assert dist.xi == pytest.approx(0.0)
-    dist = cn_step(0.25, 5, 4)
-    assert dist.omega0 == pytest.approx(0.25, abs=1e-12)
-    assert dist.xi == pytest.approx(0.75, abs=1e-12)
+    assert cn_step(1.0, 6, 4) == pytest.approx(1.0)
+    assert cn_step(0.25, 5, 4) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_cn_step_matches_enumeration():
     for p0, dc, q in [(0.9, 5, 4), (0.7, 4, 8), (0.85, 5, 2), (0.6, 3, 4)]:
-        dist = cn_step(p0, dc, q)
-        assert dist.omega0 == pytest.approx(cn_oracle_omega0(p0, dc, q), abs=1e-12)
-        assert dist.omega0 + (q - 1) * dist.omega_other == pytest.approx(1.0)
+        assert cn_step(p0, dc, q) == pytest.approx(cn_oracle_omega0(p0, dc, q),
+                                                   abs=1e-12)
 
 
 def test_cn_step_matches_closed_form():
@@ -199,7 +194,7 @@ def test_cn_step_matches_closed_form():
     for p0, dc, q in [(0.95, 6, 4), (0.5, 10, 8), (0.99, 12, 256)]:
         g = (q * p0 - 1) / (q - 1)
         closed = 1 / q + (q - 1) / q * g ** (dc - 1)
-        assert cn_step(p0, dc, q).omega0 == pytest.approx(closed, abs=1e-12)
+        assert cn_step(p0, dc, q) == pytest.approx(closed, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -296,9 +291,11 @@ def test_vn_exact_q2_matches_gallager_b():
                 assert got == pytest.approx(want, abs=1e-12), (dv, xi, eps)
 
 
-def test_vn_exact_infeasible_size():
+def test_vn_steps_reject_epsilon_at_channel_ceiling():
     with pytest.raises(ValueError):
-        vn_step_exact(0.2, 0.1, 24, 65536)
+        vn_step_exact(0.2, 0.5, 3, 2)
+    with pytest.raises(ValueError):
+        vn_step_bounded(0.2, 0.75, 3, 4)
 
 
 # ----------------------------------------------------------------------

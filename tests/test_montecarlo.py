@@ -1,13 +1,12 @@
 """Tests for the Monte Carlo simulation harness."""
 
-import io
-
 import pytest
 
+from smpdec.cli import RunConfig, _render
 from smpdec.code import sample_code
 from smpdec.de import de_run
 from smpdec.galois import build_field
-from smpdec.montecarlo import (SimResult, StopRule, results_to_csv, simulate,
+from smpdec.montecarlo import (RESULT_COLUMNS, SimResult, StopRule, simulate,
                                sweep)
 from smpdec.smp import XiSchedule
 
@@ -103,9 +102,9 @@ def test_sweep_and_csv(small_code):
     stop = StopRule(max_frames=2, target_frame_errors=None)
     results = sweep(small_code, [0.05, 0.15], l_max=10, stop=stop, seed=6)
     assert [r.epsilon for r in results] == [0.05, 0.15]
-    buf = io.StringIO()
-    results_to_csv(results, buf)
-    lines = buf.getvalue().strip().splitlines()
+    text = _render(RunConfig("simulate", {}), "csv",
+                   [r.to_json() for r in results], RESULT_COLUMNS)
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "epsilon,frames,symbol_errors,ser,fer"
     assert len(lines) == 3
     first = lines[1].split(",")

@@ -12,8 +12,7 @@ from smpdec.channel import ChannelParams, transmit, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import de_run
 from smpdec.galois import build_field
-from smpdec.smp import (EdgeMessages, ScoreBoard, XiSchedule, cn_update,
-                        decode, vn_update)
+from smpdec.smp import ScoreBoard, XiSchedule, cn_update, decode, vn_update
 
 F2 = build_field(1)
 F4 = build_field(2)
@@ -284,12 +283,6 @@ def _schedule_for(dv, dc, q, eps, l_max):
     return XiSchedule.from_trace(de_run(dv, dc, q, eps), l_max)
 
 
-def test_edge_messages_validates_lengths():
-    with pytest.raises(ValueError):
-        EdgeMessages(vn_to_cn=np.zeros(4, dtype=np.int32),
-                     cn_to_vn=np.zeros(5, dtype=np.int32), iteration=1)
-
-
 def test_decode_noise_free_is_fixed_point():
     code = sample_code(60, 3, 6, F4, seed=41)
     y = np.zeros(60, dtype=np.int32)
@@ -411,6 +404,16 @@ def test_decode_reference_does_not_change_decisions():
     without = decode(code, y, 0.1, sched, 20, rng=19)
     assert np.array_equal(with_ref.decided, without.decided)
     assert without.diagnostics[-1].symbol_errors is None
+
+
+def test_decode_rejects_epsilon_at_channel_ceiling():
+    # the same [0, (q-1)/q) rule as ChannelParams and density evolution
+    code = sample_code(12, 3, 4, F4, seed=71)
+    sched = XiSchedule([0.2], q=4)
+    y = np.zeros(12, dtype=np.int32)
+    with pytest.raises(ValueError):
+        decode(code, y, 0.75, sched, 5, rng=0)
+    decode(code, y, 0.75 - 1e-9, sched, 5, rng=0)
 
 
 def test_decode_validates_input_length():
