@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .de import de_run, resolve_mode
-
-#: Column order shared by the CSV and JSON table outputs.
-TABLE_COLUMNS = ("dv", "dc", "q", "eps_star_lower", "eps_star_upper",
-                 "eps_shannon")
+from .de import DELTA_CONV, de_run, resolve_mode
 
 #: Refusing tolerances finer than the bisection can honestly deliver:
 #: near the threshold the recursion needs ever more iterations, and
@@ -64,8 +60,8 @@ def _bisect(predicate: Callable[[float], bool], lo: float, hi: float,
 
 
 def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
-                   bisect_tol: float = 1e-4, l_max: int = 2000,
-                   delta_conv: float = 1e-9) -> ThresholdResult:
+                   bisect_tol: float = 1e-4,
+                   l_max: int = 2000) -> ThresholdResult:
     """Bisect for the decoding threshold of a (dv, dc) ensemble.
 
     epsilon = 0 is taken as converging and the channel ceiling
@@ -83,8 +79,7 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
 
     def flags(eps: float) -> tuple[bool, bool]:
         if eps not in cache:
-            trace = de_run(dv, dc, q, eps, mode=mode, l_max=l_max,
-                           delta_conv=delta_conv)
+            trace = de_run(dv, dc, q, eps, mode=mode, l_max=l_max)
             cache[eps] = (trace.converged, trace.converged_upper)
         return cache[eps]
 
@@ -105,14 +100,14 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
         eps_star_upper=max(eps_lower, eps_upper),
         evaluations=len(cache),
         settings={"mode": mode, "bisect_tol": bisect_tol, "l_max": l_max,
-                  "delta_conv": delta_conv},
+                  "delta_conv": DELTA_CONV},
     )
 
 
 def table_report(ensembles: Sequence[tuple[int, int]],
                  q_values: Sequence[int], mode: str | None = None,
-                 bisect_tol: float = 1e-4, l_max: int = 2000,
-                 delta_conv: float = 1e-9) -> list[dict]:
+                 bisect_tol: float = 1e-4,
+                 l_max: int = 2000) -> list[dict]:
     """Threshold table rows for each (dv, dc) x q cell.
 
     Each row carries the threshold bracket plus the Shannon limit of
@@ -127,8 +122,7 @@ def table_report(ensembles: Sequence[tuple[int, int]],
         rate = 1.0 - dv / dc
         for q in q_values:
             res = find_threshold(dv, dc, q, mode=mode,
-                                 bisect_tol=bisect_tol, l_max=l_max,
-                                 delta_conv=delta_conv)
+                                 bisect_tol=bisect_tol, l_max=l_max)
             rows.append({
                 "dv": dv, "dc": dc, "q": q,
                 "eps_star_lower": res.eps_star_lower,

@@ -17,36 +17,28 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
-from .analysis import TABLE_COLUMNS, table_report
+from .analysis import table_report
 from .channel import capacity, shannon_limit
 from .code import sample_code, save_code
 from .de import de_run
 from .galois import build_field
-from .montecarlo import RESULT_COLUMNS, StopRule, sweep
+from .montecarlo import StopRule, sweep
 
+#: CSV column order of each report; JSON output carries the same keys.
 DE_COLUMNS = ("iteration", "p0_lower", "p0_upper", "xi_lower", "xi_upper")
+TABLE_COLUMNS = ("dv", "dc", "q", "eps_star_lower", "eps_star_upper",
+                 "eps_shannon")
+RESULT_COLUMNS = ("epsilon", "frames", "symbol_errors", "ser", "fer")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _config_for(args: argparse.Namespace) -> dict:
     """Provenance block embedded in every output."""
-
-    command: str
-    options: dict
-    version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "version": self.version,
-                "options": self.options}
-
-
-def _config_for(args: argparse.Namespace) -> RunConfig:
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "func")}
-    return RunConfig(command=args.command, options=options)
+    return {"command": args.command, "version": __version__,
+            "options": options}
 
 
 def _field_order(q: int) -> int:
@@ -65,15 +57,15 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _comment_block(config: RunConfig) -> str:
-    return (f"# smpdec {config.version}\n"
-            f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
+def _comment_block(config: dict) -> str:
+    return (f"# smpdec {config['version']}\n"
+            f"# config: {json.dumps(config, sort_keys=True)}\n")
 
 
-def _render(config: RunConfig, fmt: str, rows, columns) -> str:
+def _render(config: dict, fmt: str, rows, columns) -> str:
     """Rows as CSV with comment header, or as a JSON document."""
     if fmt == "json":
-        return json.dumps({"config": config.to_dict(), "results": rows},
+        return json.dumps({"config": config, "results": rows},
                           indent=2) + "\n"
     buf = io.StringIO()
     buf.write(_comment_block(config))

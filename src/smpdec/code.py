@@ -28,7 +28,9 @@ class CodeGraph:
 
     Edges are stored in VN-major order: edge e = v * dv + slot connects
     VN v through its slot-th socket, so ``edge_vn`` is fixed by (n, dv).
-    Instances are treated as immutable after construction.
+    The graph is simple: no VN has two edges to the same CN, whether it
+    was sampled or loaded. Instances are treated as immutable after
+    construction.
 
     Attributes
     ----------
@@ -64,12 +66,10 @@ class CodeGraph:
             raise ValueError("edges must be in VN-major order")
         if not np.all(np.bincount(self.edge_cn, minlength=self.m_checks) == self.dc):
             raise ValueError("every CN must have degree dc")
+        if _parallel_rows(self.edge_cn, self.n, self.dv).size:
+            raise ValueError("a VN has two edges to the same CN")
         if np.any(self.edge_label < 1) or np.any(self.edge_label >= self.field.q):
             raise ValueError("labels must be nonzero field elements")
-
-    @property
-    def design_rate(self) -> float:
-        return 1.0 - self.dv / self.dc
 
     @cached_property
     def cn_edge_perm(self) -> np.ndarray:
@@ -121,6 +121,12 @@ def sample_code(n: int, dv: int, dc: int, field: FieldSpec, seed: int) -> CodeGr
     raise ValueError(f"parallel-edge repair failed after {_SAMPLE_ATTEMPTS} attempts")
 
 
+def _parallel_rows(edge_cn: np.ndarray, n: int, dv: int) -> np.ndarray:
+    """Indices of the VNs with two or more edges to the same CN."""
+    rows = np.sort(edge_cn.reshape(n, dv), axis=1)
+    return np.nonzero((np.diff(rows, axis=1) == 0).any(axis=1))[0]
+
+
 def _repair_parallel_edges(edge_cn: np.ndarray, n: int, dv: int,
                            rng: np.random.Generator) -> bool:
     """Swap CN endpoints of duplicated edges until the graph is simple.
@@ -130,8 +136,7 @@ def _repair_parallel_edges(edge_cn: np.ndarray, n: int, dv: int,
     """
     n_edges = edge_cn.size
     for _ in range(_REPAIR_ROUNDS):
-        rows = np.sort(edge_cn.reshape(n, dv), axis=1)
-        dup_rows = np.nonzero((np.diff(rows, axis=1) == 0).any(axis=1))[0]
+        dup_rows = _parallel_rows(edge_cn, n, dv)
         if dup_rows.size == 0:
             return True
         partners = rng.integers(0, n_edges, size=dup_rows.size)
@@ -173,7 +178,7 @@ def load_code(source: TextIO, field: FieldSpec) -> CodeGraph:
     Raises
     ------
     ValueError
-        On malformed input or any degree/label violation.
+        On malformed input, any degree/label violation or a parallel edge.
     """
     line = source.readline()
     while line.startswith("#"):

@@ -34,11 +34,14 @@ __all__ = [
     "de_run",
     "multinomial_max_cdf",
     "multinomial_max_eq_count_dist",
-    "psi",
     "resolve_mode",
     "vn_step_bounded",
     "vn_step_exact",
 ]
+
+#: A run has converged once the lower p0 trajectory is within this
+#: distance of 1.
+DELTA_CONV = 1e-9
 
 #: A channel weight within this distance of an integer is treated as
 #: integral, activating the score-tie branches of the update.
@@ -66,10 +69,6 @@ class BoundedProb:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -86,7 +85,7 @@ class DeTrace:
     records[l] holds p0 after l variable-node iterations together with
     the xi the next variable-node step would see; records[0] is the
     channel initialization. ``converged`` reports whether the lower p0
-    trajectory reached 1 - delta_conv; ``converged_upper`` reports the
+    trajectory reached 1 - DELTA_CONV; ``converged_upper`` reports the
     same for the upper trajectory (they coincide in exact mode).
     """
 
@@ -99,21 +98,6 @@ class DeTrace:
     converged: bool = False
     converged_upper: bool = False
     iterations_run: int = 0
-
-    def xi_values(self, l_max: int, bound: str = "lower") -> list[float]:
-        """First l_max xi values, repeating the final one when short.
-
-        Decoders index this schedule by iteration; ``bound`` selects the
-        lower or upper end of each interval (identical in exact mode).
-        """
-        if bound not in ("lower", "upper"):
-            raise ValueError(f"unknown bound {bound!r}")
-        if not self.records:
-            raise ValueError("trace holds no records")
-        vals = [getattr(rec.xi, bound) for rec in self.records[:l_max]]
-        while len(vals) < l_max:
-            vals.append(vals[-1])
-        return vals
 
     def to_json(self) -> dict:
         return {
@@ -131,54 +115,21 @@ class DeTrace:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DeTrace":
-        records = [
-            IterationRecord(BoundedProb(*rec["p0"]), BoundedProb(*rec["xi"]))
-            for rec in data["records"]
-        ]
-        return cls(
-            dv=data["dv"],
-            dc=data["dc"],
-            q=data["q"],
-            epsilon=data["epsilon"],
-            mode=data["mode"],
-            records=records,
-            converged=data["converged"],
-            converged_upper=data["converged_upper"],
-            iterations_run=data["iterations_run"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Check-node step
 # ----------------------------------------------------------------------
-
-def psi(j: int, a: int, q: int) -> float:
-    """P(sum of j iid uniform nonzero q-ary symbols equals a).
-
-    Only whether a is zero matters. Closed form, valid for j = 0 too.
-    """
-    if j < 0:
-        raise ValueError(f"j must be nonnegative, got {j}")
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    if not 0 <= a < q:
-        raise ValueError(f"symbol {a} outside field of order {q}")
-    r = (-1.0 / (q - 1)) ** j
-    if a == 0:
-        return (1.0 + (q - 1) * r) / q
-    return (1.0 - r) / q
-
 
 def cn_step(p0: float, dc: int, q: int) -> float:
     """Probability omega0 that the vote formed from dc - 1 messages is correct.
 
     Each incoming message is correct with probability p0 and otherwise
     uniform over the wrong symbols; edge labels preserve that shape.
-    Averaging psi over the binomial number of wrong inputs gives
-    omega0 = (1 + (q - 1) g^(dc-1)) / q with g = (q p0 - 1) / (q - 1);
-    a wrong vote is uniform over the q - 1 wrong symbols.
+    j wrong inputs sum to zero with probability
+    (1 + (q - 1) (-1/(q - 1))^j) / q; averaging that over the binomial
+    number of wrong inputs gives omega0 = (1 + (q - 1) g^(dc-1)) / q
+    with g = (q p0 - 1) / (q - 1). A wrong vote is uniform over the
+    q - 1 wrong symbols.
     """
     if dc < 2:
         raise ValueError(f"dc must be at least 2, got {dc}")
@@ -454,13 +405,13 @@ def resolve_mode(q: int, mode: str | None = None) -> str:
 
 
 def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
-           mode: str | None = None, delta_conv: float = 1e-9) -> DeTrace:
+           mode: str | None = None) -> DeTrace:
     """Iterate density evolution and report the trajectory.
 
     mode "exact" uses the exact variable-node update, "bounded" evolves
     a lower and an upper trajectory; None picks as ``resolve_mode``
     does. The run stops once the lower trajectory reaches
-    1 - delta_conv (converged), stops making progress, or hits l_max.
+    1 - DELTA_CONV (converged), stops making progress, or hits l_max.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
@@ -480,7 +431,7 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
     p_lo = p_up = 1.0 - epsilon
     trace = DeTrace(dv=dv, dc=dc, q=q, epsilon=epsilon, mode=mode,
                     records=[make_record(p_lo, p_up)])
-    if 1.0 - p_lo < delta_conv:
+    if 1.0 - p_lo < DELTA_CONV:
         trace.converged = trace.converged_upper = True
         return trace
 
@@ -495,7 +446,7 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
             p_up_new = vn_step_bounded(rec.xi.lower, epsilon, dv, q).upper
         trace.records.append(make_record(p_lo_new, p_up_new))
         trace.iterations_run = it
-        if 1.0 - p_lo_new < delta_conv:
+        if 1.0 - p_lo_new < DELTA_CONV:
             trace.converged = True
             break
         if p_lo_new <= p_lo and p_up_new <= p_up:
@@ -505,5 +456,5 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
         p_lo, p_up = p_lo_new, p_up_new
 
     p_up_final = trace.records[-1].p0.upper
-    trace.converged_upper = trace.converged or 1.0 - p_up_final < delta_conv
+    trace.converged_upper = trace.converged or 1.0 - p_up_final < DELTA_CONV
     return trace

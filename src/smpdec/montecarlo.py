@@ -28,39 +28,29 @@ from .smp import XiSchedule, decode
 #: SMPDEC_WORKERS environment variable is set.
 DEFAULT_WORKERS = 1
 
-#: CSV column order for sweep output, a subset of SimResult.to_json keys.
-RESULT_COLUMNS = ("epsilon", "frames", "symbol_errors", "ser", "fer")
-
 
 @dataclass(frozen=True)
 class StopRule:
     """When to stop accumulating frames.
 
-    The run ends at the first frame index where any enabled target is
-    reached: ``max_frames`` always applies, the error targets only when
-    not None.  The defaults aim at roughly 10% relative accuracy on the
+    The run ends at the first frame index where ``max_frames`` frames
+    have run or, unless it is None, ``target_frame_errors`` frames have
+    failed.  The defaults aim at roughly 10% relative accuracy on the
     frame error rate without an unbounded run.
     """
 
     max_frames: int = 10_000
     target_frame_errors: int | None = 100
-    target_symbol_errors: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_frames < 1:
             raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
 
-    def satisfied(self, frames: int, frame_errors: int,
-                  symbol_errors: int) -> bool:
+    def satisfied(self, frames: int, frame_errors: int) -> bool:
         if frames >= self.max_frames:
             return True
-        if (self.target_frame_errors is not None
-                and frame_errors >= self.target_frame_errors):
-            return True
-        if (self.target_symbol_errors is not None
-                and symbol_errors >= self.target_symbol_errors):
-            return True
-        return False
+        return (self.target_frame_errors is not None
+                and frame_errors >= self.target_frame_errors)
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ def default_schedule(dv: int, dc: int, q: int, epsilon: float,
     decoder treats schedules shorter than l_max.
     """
     trace = de_run(dv, dc, q, epsilon, l_max=l_max)
-    return XiSchedule.from_trace(trace, l_max, "lower")
+    return XiSchedule.from_trace(trace)
 
 
 def _decode_frame(code: CodeGraph, params: ChannelParams,
@@ -171,7 +161,7 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
         frames += 1
         symbol_errors += errors
         frame_errors += int(errors > 0)
-        return stop.satisfied(frames, frame_errors, symbol_errors)
+        return stop.satisfied(frames, frame_errors)
 
     if nworkers == 1:
         for index in range(stop.max_frames):

@@ -5,24 +5,21 @@ completion of their inputs; variable nodes count incoming votes per
 symbol, add a weight w = D(epsilon)/D(xi) to the channel observation,
 and emit the highest-scoring symbol, breaking ties uniformly at random.
 The per-iteration vote quality xi comes from a density-evolution
-schedule. All message updates are vectorized over edges; ScoreBoard is
-the scalar reference the vectorized path is tested against.
+schedule. All message updates are vectorized over edges.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PROB_FLOOR, check_epsilon, weight_ratio
+from .channel import check_epsilon, weight_ratio
 from .code import CodeGraph
 
 __all__ = [
     "DecodeResult",
     "IterationDiag",
-    "ScoreBoard",
     "XiSchedule",
     "cn_update",
     "decode",
@@ -39,81 +36,29 @@ TIE_REL_TOL = 1e-12
 class XiSchedule:
     """Per-iteration extrinsic error probabilities fed to the decoder.
 
-    Values are clamped into [PROB_FLOOR, (q-1)/q - PROB_FLOOR] at
-    construction so channel weights stay finite; reads past the end
-    repeat the final value (a converged schedule sits at a fixed point).
+    Reads past the end repeat the final value (a converged schedule
+    sits at a fixed point). Values reach the decoder only through
+    ``weight_ratio``, which clamps them so channel weights stay finite.
     """
 
     xi_values: tuple
-    q: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
-        hi = (self.q - 1) / self.q - PROB_FLOOR
-        vals = tuple(min(max(float(x), PROB_FLOOR), hi) for x in self.xi_values)
+        vals = tuple(self.xi_values)
         if not vals:
             raise ValueError("schedule needs at least one value")
         object.__setattr__(self, "xi_values", vals)
 
     @classmethod
-    def from_trace(cls, trace, l_max: int, bound: str = "lower") -> "XiSchedule":
-        """Build the schedule for l_max iterations from a DeTrace."""
-        return cls(tuple(trace.xi_values(l_max, bound)), trace.q)
+    def from_trace(cls, trace) -> "XiSchedule":
+        """The lower xi of every record of a DeTrace."""
+        return cls(tuple(rec.xi.lower for rec in trace.records))
 
     def value_at(self, iteration: int) -> float:
         """Schedule value for a 1-based decoder iteration."""
         if iteration < 1:
             raise ValueError(f"iterations are 1-based, got {iteration}")
         return self.xi_values[min(iteration - 1, len(self.xi_values) - 1)]
-
-
-@dataclass
-class ScoreBoard:
-    """Sparse per-symbol scores at one variable node.
-
-    Scores are integer vote counts plus the channel weight on the
-    observed symbol; at most dv + 1 symbols can score above zero, so
-    candidates are tracked explicitly. ``candidates`` lists the incoming
-    message symbols in slot order followed by the channel symbol; tie
-    sets preserve first-occurrence order along that list, which is the
-    convention the vectorized decoder implements.
-    """
-
-    counts: dict
-    channel_symbol: int
-    channel_weight: float
-    xi: float
-    candidates: list
-
-    @classmethod
-    def from_votes(cls, messages, y: int, epsilon: float, xi: float,
-                   q: int) -> "ScoreBoard":
-        return cls(counts=dict(Counter(messages)), channel_symbol=y,
-                   channel_weight=weight_ratio(q, epsilon, xi), xi=xi,
-                   candidates=list(messages) + [y])
-
-    def score(self, symbol: int, dropped: int | None = None) -> float:
-        s = float(self.counts.get(symbol, 0))
-        if dropped is not None and symbol == dropped:
-            s -= 1.0
-        if symbol == self.channel_symbol:
-            s += self.channel_weight
-        return s
-
-    def tie_set(self, drop_slot: int | None = None) -> list:
-        """Maximizing symbols in first-occurrence candidate order."""
-        dropped = self.candidates[drop_slot] if drop_slot is not None else None
-        ordered = list(dict.fromkeys(self.candidates))
-        scores = {c: self.score(c, dropped) for c in ordered}
-        smax = max(scores.values())
-        tol = TIE_REL_TOL * max(1.0, smax)
-        return [c for c in ordered if smax - scores[c] <= tol]
-
-    def argmax(self, u: float, drop_slot: int | None = None) -> int:
-        """Top symbol, ties resolved by the uniform draw u in [0, 1)."""
-        ties = self.tie_set(drop_slot)
-        return ties[min(int(u * len(ties)), len(ties) - 1)]
 
 
 def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
@@ -168,8 +113,8 @@ def _tie_argmax(cand: np.ndarray, scores: np.ndarray, canon: np.ndarray,
 
 
 def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
-              epsilon: float, xi: float, rng: np.random.Generator,
-              *, count_ties: bool = False):
+              epsilon: float, xi: float,
+              rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Extrinsic symbol decisions at every variable node.
 
     Per outgoing edge the score of symbol b is its vote count among the
@@ -178,8 +123,8 @@ def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     Exactly one uniform block of shape (n, dv) is drawn from rng per
     call, one value per outgoing edge, whether or not ties occur.
 
-    Returns the flat edge-ordered message array; with count_ties also
-    the number of (edge, iteration) tie events.
+    Returns the flat edge-ordered message array and the number of
+    edges whose argmax was a tie.
     """
     n, dv = code.n, code.dv
     mu, cand, counts, canon, bonus = _vote_tables(code, cn_to_vn, y,
@@ -192,10 +137,7 @@ def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
         picked, ntied = _tie_argmax(cand, scores, canon, u[:, j])
         out[:, j] = picked
         ties += int((ntied > 1).sum())
-    flat = out.reshape(-1)
-    if count_ties:
-        return flat, ties
-    return flat
+    return out.reshape(-1), ties
 
 
 def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
@@ -268,8 +210,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
         mu_cv = cn_update(code, mu_vc)
         xi = schedule.value_at(it)
         if it < l_max:
-            mu_vc, ties = vn_update(code, mu_cv, y, epsilon, xi, gen,
-                                    count_ties=True)
+            mu_vc, ties = vn_update(code, mu_cv, y, epsilon, xi, gen)
             if reference is not None:
                 tentative, _ = _decision(code, mu_cv, y, epsilon, xi,
                                          diag_rng)

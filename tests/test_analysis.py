@@ -2,10 +2,10 @@
 
 import pytest
 
-from smpdec.analysis import (TABLE_COLUMNS, ThresholdResult, find_threshold,
-                             table_report)
+from smpdec import __version__
+from smpdec.analysis import ThresholdResult, find_threshold, table_report
 from smpdec.channel import shannon_limit
-from smpdec.cli import RunConfig, _render
+from smpdec.cli import TABLE_COLUMNS, _render
 
 
 def test_threshold_3_5_q4_matches_reference_value():
@@ -65,7 +65,8 @@ def test_table_report_empty_field_list():
 def test_rows_to_csv_round_trip():
     rows = [{"dv": 3, "dc": 5, "q": 4, "eps_star_lower": 0.123,
              "eps_star_upper": 0.1234, "eps_shannon": 0.248}]
-    text = _render(RunConfig("threshold", {}), "csv", rows, TABLE_COLUMNS)
+    config = {"command": "threshold", "version": __version__, "options": {}}
+    text = _render(config, "csv", rows, TABLE_COLUMNS)
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "dv,dc,q,eps_star_lower,eps_star_upper,eps_shannon"
     cells = lines[1].split(",")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from smpdec.galois import build_field
@@ -68,6 +70,21 @@ def test_transmit_errors_differ_from_input():
     flipped = y != x
     assert flipped.any()
     assert np.all(y[flipped] != x[flipped])
+
+
+@settings(derandomize=True, deadline=None)
+@given(m=st.sampled_from((1, 2, 3, 8)), frac=st.floats(0.0, 0.999),
+       n=st.integers(1, 4000), seed=st.integers(0, 2**32 - 1))
+def test_transmit_flip_rate_within_binomial_bound(m, frac, n, seed):
+    field = build_field(m)
+    eps = frac * (field.q - 1) / field.q
+    x = np.random.default_rng([seed, 1]).integers(0, field.q, size=n,
+                                                  dtype=np.int32)
+    y = transmit(x, ChannelParams(field, eps), np.random.default_rng(seed))
+    flips = int(np.count_nonzero(y != x))
+    # flips ~ Binomial(n, eps); six standard deviations plus one symbol
+    sd = math.sqrt(n * eps * (1 - eps))
+    assert abs(flips - n * eps) <= 6 * sd + 1
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +170,10 @@ def test_weight_ratio_clamps_endpoints():
     # xi = 0 would make the denominator infinite without clamping
     w = weight_ratio(4, 0.1, 0.0)
     assert 0 < w < 1
+    # xi is clamped into [1e-12, (q-1)/q - 1e-12] on both sides
+    assert w == weight_ratio(4, 0.1, 1e-12)
+    assert weight_ratio(4, 0.1, 0.9) == weight_ratio(4, 0.1, 0.75 - 1e-12)
+    assert math.isfinite(weight_ratio(4, 0.1, 0.9))
     # eps at the symmetric-channel ceiling still yields a positive weight
     w = weight_ratio(4, 0.75, 0.2)
     assert w > 0

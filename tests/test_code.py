@@ -23,7 +23,6 @@ def test_sample_code_counts():
     assert code.n == 10
     assert code.m_checks == 6
     assert code.edge_vn.size == 30
-    assert code.design_rate == pytest.approx(1 - 3 / 5)
     # regular degrees
     assert np.all(np.bincount(code.edge_vn, minlength=10) == 3)
     assert np.all(np.bincount(code.edge_cn, minlength=6) == 5)
@@ -181,6 +180,13 @@ def test_load_rejects_out_of_range_cn():
         load_code(io.StringIO("\n".join(lines) + "\n"), F4)
 
 
+def test_load_rejects_parallel_edges():
+    # every degree and label is valid, but each VN meets CN 1 twice
+    text = "2 1 2 4 4\n1:1 1:2\n1:3 1:1\n"
+    with pytest.raises(ValueError, match="same CN"):
+        load_code(io.StringIO(text), F4)
+
+
 # ----------------------------------------------------------------------
 # Direct construction
 # ----------------------------------------------------------------------
@@ -189,12 +195,17 @@ def test_codegraph_validates_invariants():
     edge_vn = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
     edge_cn = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
     labels = np.array([1, 2, 3, 1, 2, 3], dtype=np.int32)
-    code = CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
-                     edge_vn=edge_vn, edge_cn=edge_cn, edge_label=labels)
-    assert code.design_rate == pytest.approx(1 / 3)
+    CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
+              edge_vn=edge_vn, edge_cn=edge_cn, edge_label=labels)
 
     bad = labels.copy()
     bad[0] = 0
     with pytest.raises(ValueError):
         CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
                   edge_vn=edge_vn, edge_cn=edge_cn, edge_label=bad)
+
+    # degrees hold, but VNs 0 and 1 each meet one CN twice
+    parallel = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="same CN"):
+        CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
+                  edge_vn=edge_vn, edge_cn=parallel, edge_label=labels)

@@ -12,8 +12,8 @@ import math
 import pytest
 
 from smpdec.channel import weight_D
-from smpdec.de import (DeTrace, cn_step, de_run, multinomial_max_cdf,
-                       multinomial_max_eq_count_dist, psi, vn_step_bounded,
+from smpdec.de import (cn_step, de_run, multinomial_max_cdf,
+                       multinomial_max_eq_count_dist, vn_step_bounded,
                        vn_step_exact)
 
 
@@ -145,33 +145,48 @@ def solve_eps_for_integral_w(xi: float, q: int, w_target: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# psi
+# psi(j, 0, q): the chance that j uniform nonzero symbols sum to zero,
+# i.e. that a check vote with exactly j wrong inputs is correct. It is
+# cn_step(0.0, j + 1, q), where all j inputs are wrong, and for j = 0
+# cn_step(1.0, 2, q), where the one input is correct.
 # ----------------------------------------------------------------------
 
+def _psi_zero(j: int, q: int) -> float:
+    return cn_step(0.0, j + 1, q) if j else cn_step(1.0, 2, q)
+
+
 def test_psi_trivial_cases():
-    assert psi(0, 0, 4) == pytest.approx(1.0)
-    assert psi(0, 1, 4) == pytest.approx(0.0)
-    assert psi(1, 0, 8) == pytest.approx(0.0)
-    assert psi(2, 0, 4) == pytest.approx(1 / 3)
+    assert _psi_zero(0, 4) == pytest.approx(1.0)
+    assert _psi_zero(1, 8) == pytest.approx(0.0)
+    assert _psi_zero(2, 4) == pytest.approx(1 / 3)
 
 
 def test_psi_gf8_three_summands():
-    assert psi(3, 1, 8) == pytest.approx((1 / 8) * (1 + 1 / 343))
-    assert psi(3, 1, 8) == pytest.approx(psi_oracle(3, False, 8))
-    assert psi(3, 0, 8) == pytest.approx(psi_oracle(3, True, 8))
+    assert cn_step(0.0, 4, 8) == pytest.approx((1 / 8) * (1 - 1 / 49))
+    assert cn_step(0.0, 4, 8) == pytest.approx(psi_oracle(3, True, 8))
+    # a wrong vote is uniform over the q - 1 nonzero sums
+    assert (1 - cn_step(0.0, 4, 8)) / 7 == pytest.approx(
+        (1 / 8) * (1 + 1 / 343))
+    assert (1 - cn_step(0.0, 4, 8)) / 7 == pytest.approx(
+        psi_oracle(3, False, 8))
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
 @pytest.mark.parametrize("j", range(5))
 def test_psi_matches_enumeration(q, j):
-    assert psi(j, 0, q) == pytest.approx(psi_oracle(j, True, q), abs=1e-12)
-    assert psi(j, 1, q) == pytest.approx(psi_oracle(j, False, q), abs=1e-12)
+    omega0 = _psi_zero(j, q)
+    assert omega0 == pytest.approx(psi_oracle(j, True, q), abs=1e-12)
+    assert (1 - omega0) / (q - 1) == pytest.approx(psi_oracle(j, False, q),
+                                                   abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 256])
 def test_psi_normalization(q):
+    # j + 1 nonzero symbols sum to zero iff the first j sum to the
+    # negation of the last one: psi(j + 1, 0) = (1 - psi(j, 0)) / (q - 1)
     for j in range(21):
-        assert psi(j, 0, q) + (q - 1) * psi(j, 1, q) == pytest.approx(1.0, abs=1e-12)
+        assert _psi_zero(j + 1, q) == pytest.approx(
+            (1 - _psi_zero(j, q)) / (q - 1), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -389,24 +404,19 @@ def test_de_monotone_in_epsilon():
     assert verdicts == sorted(verdicts, reverse=True)
 
 
-def test_de_trace_json_round_trip():
+def test_de_trace_to_json_fields():
+    # the record layout `smpdec de --format json` prints
     trace = de_run(3, 5, 4, 0.1, l_max=30)
-    blob = json.dumps(trace.to_json())
-    back = DeTrace.from_json(json.loads(blob))
-    assert back.converged == trace.converged
-    assert back.epsilon == trace.epsilon
-    assert len(back.records) == len(trace.records)
-    assert back.records[-1].p0.lower == trace.records[-1].p0.lower
-
-
-def test_de_trace_xi_values_extend_by_repetition():
-    trace = de_run(3, 5, 4, 0.05, l_max=100)
-    xs = trace.xi_values(10)
-    assert len(xs) == 10
-    longer = trace.xi_values(200)
-    assert len(longer) == 200
-    assert longer[-1] == longer[len(trace.records) - 1]
-    assert all(x > 0 for x in xs)
+    data = json.loads(json.dumps(trace.to_json()))
+    assert data == {
+        "dv": 3, "dc": 5, "q": 4, "epsilon": 0.1, "mode": "bounded",
+        "converged": trace.converged,
+        "converged_upper": trace.converged_upper,
+        "iterations_run": trace.iterations_run,
+        "records": [{"p0": [r.p0.lower, r.p0.upper],
+                     "xi": [r.xi.lower, r.xi.upper]} for r in trace.records],
+    }
+    assert len(data["records"]) == trace.iterations_run + 1
 
 
 def test_de_run_validates_inputs():

@@ -2,12 +2,12 @@
 
 import pytest
 
-from smpdec.cli import RunConfig, _render
+from smpdec import __version__
+from smpdec.cli import RESULT_COLUMNS, _render
 from smpdec.code import sample_code
 from smpdec.de import de_run
 from smpdec.galois import build_field
-from smpdec.montecarlo import (RESULT_COLUMNS, SimResult, StopRule, simulate,
-                               sweep)
+from smpdec.montecarlo import SimResult, StopRule, simulate, sweep
 from smpdec.smp import XiSchedule
 
 
@@ -57,15 +57,6 @@ def test_stop_rule_frame_errors(small_code):
     assert res.frame_errors == 3
 
 
-def test_stop_rule_symbol_errors(small_code):
-    res = simulate(small_code, 0.2, l_max=10,
-                   stop=StopRule(max_frames=50, target_frame_errors=None,
-                                 target_symbol_errors=10),
-                   seed=2)
-    assert res.symbol_errors >= 10
-    assert res.frames_run <= 5
-
-
 def test_rates_are_consistent(small_code):
     res = simulate(small_code, 0.15, l_max=10,
                    stop=StopRule(max_frames=4, target_frame_errors=None),
@@ -80,7 +71,7 @@ def test_rates_are_consistent(small_code):
 def test_default_schedule_matches_explicit_construction(small_code):
     stop = StopRule(max_frames=3, target_frame_errors=None)
     trace = de_run(3, 6, 4, 0.12)
-    sched = XiSchedule.from_trace(trace, 20, "lower")
+    sched = XiSchedule.from_trace(trace)
     explicit = simulate(small_code, 0.12, l_max=20, schedule=sched,
                         stop=stop, seed=4)
     default = simulate(small_code, 0.12, l_max=20, stop=stop, seed=4)
@@ -102,8 +93,9 @@ def test_sweep_and_csv(small_code):
     stop = StopRule(max_frames=2, target_frame_errors=None)
     results = sweep(small_code, [0.05, 0.15], l_max=10, stop=stop, seed=6)
     assert [r.epsilon for r in results] == [0.05, 0.15]
-    text = _render(RunConfig("simulate", {}), "csv",
-                   [r.to_json() for r in results], RESULT_COLUMNS)
+    config = {"command": "simulate", "version": __version__, "options": {}}
+    text = _render(config, "csv", [r.to_json() for r in results],
+                   RESULT_COLUMNS)
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "epsilon,frames,symbol_errors,ser,fer"
     assert len(lines) == 3

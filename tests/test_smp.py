@@ -2,21 +2,76 @@
 
 The vectorized decoder is checked against scalar reference code built
 here from ScoreBoard and naive per-edge check sums, sharing nothing with
-the implementation except the documented RNG draw order.
+the implementation except the documented RNG draw order and the tie
+tolerance.
 """
+
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smpdec.channel import ChannelParams, transmit, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import de_run
 from smpdec.galois import build_field
-from smpdec.smp import ScoreBoard, XiSchedule, cn_update, decode, vn_update
+from smpdec.smp import (TIE_REL_TOL, XiSchedule, _decision, cn_update, decode,
+                        vn_update)
 
 F2 = build_field(1)
 F4 = build_field(2)
 F8 = build_field(3)
+
+
+@dataclass
+class ScoreBoard:
+    """Sparse per-symbol scores at one variable node: the scalar oracle.
+
+    Scores are integer vote counts plus the channel weight on the
+    observed symbol; at most dv + 1 symbols can score above zero, so
+    candidates are tracked explicitly. ``candidates`` lists the incoming
+    message symbols in slot order followed by the channel symbol; tie
+    sets preserve first-occurrence order along that list, which is the
+    convention the vectorized decoder implements.
+    """
+
+    counts: dict
+    channel_symbol: int
+    channel_weight: float
+    xi: float
+    candidates: list
+
+    @classmethod
+    def from_votes(cls, messages, y: int, epsilon: float, xi: float,
+                   q: int) -> "ScoreBoard":
+        return cls(counts=dict(Counter(messages)), channel_symbol=y,
+                   channel_weight=weight_ratio(q, epsilon, xi), xi=xi,
+                   candidates=list(messages) + [y])
+
+    def score(self, symbol: int, dropped: int | None = None) -> float:
+        s = float(self.counts.get(symbol, 0))
+        if dropped is not None and symbol == dropped:
+            s -= 1.0
+        if symbol == self.channel_symbol:
+            s += self.channel_weight
+        return s
+
+    def tie_set(self, drop_slot: int | None = None) -> list:
+        """Maximizing symbols in first-occurrence candidate order."""
+        dropped = self.candidates[drop_slot] if drop_slot is not None else None
+        ordered = list(dict.fromkeys(self.candidates))
+        scores = {c: self.score(c, dropped) for c in ordered}
+        smax = max(scores.values())
+        tol = TIE_REL_TOL * max(1.0, smax)
+        return [c for c in ordered if smax - scores[c] <= tol]
+
+    def argmax(self, u: float, drop_slot: int | None = None) -> int:
+        """Top symbol, ties resolved by the uniform draw u in [0, 1)."""
+        ties = self.tie_set(drop_slot)
+        return ties[min(int(u * len(ties)), len(ties) - 1)]
 
 
 def naive_cn_update(code, mu_vc):
@@ -82,29 +137,40 @@ def find_nonzero_codeword(code):
 # ----------------------------------------------------------------------
 
 def test_schedule_clamps_values():
-    sched = XiSchedule([0.0, 0.1, 0.9], q=4)
-    assert sched.value_at(1) == pytest.approx(1e-12)
-    assert sched.value_at(2) == 0.1
-    assert sched.value_at(3) == pytest.approx(0.75, abs=1e-9)
-    assert sched.value_at(3) < 0.75
+    # values reach the decoder only through weight_ratio, which clamps
+    # them into [1e-12, (q-1)/q - 1e-12]: out-of-range schedules decode
+    # exactly as their clamped versions
+    code = sample_code(60, 3, 6, F4, seed=59)
+    y = transmit(np.zeros(60, dtype=np.int32), ChannelParams(F4, 0.1),
+                 np.random.default_rng(8))
+    raw = XiSchedule([0.0, 0.1, 0.9])
+    clamped = XiSchedule([1e-12, 0.1, 0.75 - 1e-12])
+    assert raw.value_at(1) == 0.0
+    a = decode(code, y, 0.1, raw, 6, rng=3)
+    b = decode(code, y, 0.1, clamped, 6, rng=3)
+    assert np.array_equal(a.decided, b.decided)
+    assert [d.tie_events for d in a.diagnostics] == \
+        [d.tie_events for d in b.diagnostics]
 
 
 def test_schedule_repeats_last_value():
-    sched = XiSchedule([0.3, 0.2], q=4)
+    sched = XiSchedule([0.3, 0.2])
     assert sched.value_at(2) == 0.2
     assert sched.value_at(50) == 0.2
 
 
 def test_schedule_rejects_empty():
     with pytest.raises(ValueError):
-        XiSchedule([], q=4)
+        XiSchedule([])
 
 
 def test_schedule_from_trace():
     trace = de_run(3, 6, 4, 0.05)
-    sched = XiSchedule.from_trace(trace, 30)
-    assert len(sched.xi_values) == 30
-    assert sched.value_at(1) == pytest.approx(trace.records[0].xi.lower)
+    sched = XiSchedule.from_trace(trace)
+    lower = [rec.xi.lower for rec in trace.records]
+    assert list(sched.xi_values) == lower
+    # past the trace the final value repeats
+    assert sched.value_at(len(lower) + 30) == lower[-1]
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +268,8 @@ def test_vn_update_unanimous():
     code = sample_code(8, 3, 4, F4, seed=3)
     y = np.full(8, 2, dtype=np.int32)
     mu_cv = y[code.edge_vn].astype(np.int32)
-    out = vn_update(code, mu_cv, y, epsilon=0.1, xi=0.2,
-                    rng=np.random.default_rng(0))
+    out, _ = vn_update(code, mu_cv, y, epsilon=0.1, xi=0.2,
+                       rng=np.random.default_rng(0))
     assert np.all(out == 2)
 
 
@@ -213,8 +279,8 @@ def test_vn_update_matches_scoreboard_reference():
         rng = np.random.default_rng(17)
         mu_cv = rng.integers(0, q, size=24 * dv).astype(np.int32)
         y = rng.integers(0, q, size=24).astype(np.int32)
-        out = vn_update(code, mu_cv, y, epsilon=0.07, xi=0.22,
-                        rng=np.random.default_rng(99))
+        out, _ = vn_update(code, mu_cv, y, epsilon=0.07, xi=0.22,
+                           rng=np.random.default_rng(99))
         u = np.random.default_rng(99).random((24, dv))
         rows = mu_cv.reshape(24, dv)
         for v in range(24):
@@ -234,8 +300,9 @@ def test_vn_update_reduces_to_gallager_b():
     rows = np.array([[(i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(8)]
                     * 2, dtype=np.int32)
     y = np.array([0] * 8 + [1] * 8, dtype=np.int32)
-    out = vn_update(code, rows.reshape(-1), y, eps, xi,
-                    rng=np.random.default_rng(4)).reshape(16, 3)
+    out, _ = vn_update(code, rows.reshape(-1), y, eps, xi,
+                       rng=np.random.default_rng(4))
+    out = out.reshape(16, 3)
     for v in range(16):
         for j in range(3):
             others = [rows[v, k] for k in range(3) if k != j]
@@ -248,11 +315,11 @@ def test_vn_update_is_extrinsic():
     rng = np.random.default_rng(5)
     mu = rng.integers(0, 8, size=54).astype(np.int32)
     y = rng.integers(0, 8, size=18).astype(np.int32)
-    base = vn_update(code, mu, y, 0.05, 0.15, np.random.default_rng(1))
+    base, _ = vn_update(code, mu, y, 0.05, 0.15, np.random.default_rng(1))
     mu2 = mu.copy()
     edge = 13  # VN 4, slot 1
     mu2[edge] = (mu2[edge] + 3) % 8
-    pert = vn_update(code, mu2, y, 0.05, 0.15, np.random.default_rng(1))
+    pert, _ = vn_update(code, mu2, y, 0.05, 0.15, np.random.default_rng(1))
     assert pert[edge] == base[edge]
     changed = np.nonzero(pert != base)[0]
     assert all(code.edge_vn[e] == 4 for e in changed)
@@ -265,7 +332,7 @@ def test_vn_update_tie_statistics_uniform():
     mu = np.tile(np.array([1, 2], dtype=np.int32), 3000)
     y = np.full(3000, 3, dtype=np.int32)
     eps = xi = 0.25  # weight exactly 1
-    out = vn_update(code, mu, y, eps, xi, np.random.default_rng(23))
+    out, _ = vn_update(code, mu, y, eps, xi, np.random.default_rng(23))
     counts = np.bincount(out, minlength=4)
     assert counts[0] == 0
     sigma_single = np.sqrt(3000 * 0.25)
@@ -275,18 +342,80 @@ def test_vn_update_tie_statistics_uniform():
     assert counts.sum() == 6000
 
 
+class _FixedUniform:
+    """Stands in for a Generator whose every uniform draw equals u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self, size) -> np.ndarray:
+        return np.full(size, self.u)
+
+
+_FIELDS = {2: F2, 4: F4, 8: F8}
+
+
+@st.composite
+def _vote_cases(draw):
+    """A small random graph with messages and channel symbols drawn from
+    at most three symbols; xi = eps (w = 1 exactly) in some cases, so
+    votes tie each other and the channel."""
+    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    q = field.q
+    dv = draw(st.integers(2, 4))
+    dc = draw(st.integers(dv + 1, dv + 3))
+    n = dc * draw(st.integers(2, 3))
+    code = sample_code(n, dv, dc, field, seed=draw(st.integers(0, 1000)))
+    alphabet = draw(st.lists(st.integers(0, q - 1), min_size=min(3, q),
+                             max_size=min(3, q), unique=True))
+    symbols = st.sampled_from(alphabet)
+    mu = draw(st.lists(symbols, min_size=n * dv, max_size=n * dv))
+    y = draw(st.lists(symbols, min_size=n, max_size=n))
+    eps = draw(st.floats(0.01, 0.3))
+    xi = draw(st.one_of(st.just(eps), st.floats(0.01, 0.45)))
+    return (code, np.array(mu, dtype=np.int32), np.array(y, dtype=np.int32),
+            eps, xi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_vote_cases())
+def test_vn_update_and_decision_match_scoreboard(case):
+    code, mu, y, eps, xi = case
+    n, dv, q = code.n, code.dv, code.field.q
+    boards = [ScoreBoard.from_votes(mu[v * dv:(v + 1) * dv].tolist(),
+                                    int(y[v]), eps, xi, q) for v in range(n)]
+    edge_ties = [len(b.tie_set(j)) > 1 for b in boards for j in range(dv)]
+    node_ties = [len(b.tie_set()) > 1 for b in boards]
+    _, ties = vn_update(code, mu, y, eps, xi, _FixedUniform(0.0))
+    assert ties == sum(edge_ties)
+    _, ties = _decision(code, mu, y, eps, xi, _FixedUniform(0.0))
+    assert ties == sum(node_ties)
+    # u in slice i of s equal slices picks entry i of a size-s tie set.
+    # Sweeping every size s <= dv + 1 lists each oracle tie set in order
+    # at its own size, and a tie set of another size repeats or skips an
+    # entry at one of the sizes, so equal picks mean equal tie sets.
+    for size in range(1, dv + 2):
+        for i in range(size):
+            u = (i + 0.5) / size
+            out, _ = vn_update(code, mu, y, eps, xi, _FixedUniform(u))
+            assert out.tolist() == [b.argmax(u, drop_slot=j)
+                                    for b in boards for j in range(dv)]
+            dec, _ = _decision(code, mu, y, eps, xi, _FixedUniform(u))
+            assert dec.tolist() == [b.argmax(u) for b in boards]
+
+
 # ----------------------------------------------------------------------
 # decode
 # ----------------------------------------------------------------------
 
-def _schedule_for(dv, dc, q, eps, l_max):
-    return XiSchedule.from_trace(de_run(dv, dc, q, eps), l_max)
+def _schedule_for(dv, dc, q, eps):
+    return XiSchedule.from_trace(de_run(dv, dc, q, eps))
 
 
 def test_decode_noise_free_is_fixed_point():
     code = sample_code(60, 3, 6, F4, seed=41)
     y = np.zeros(60, dtype=np.int32)
-    sched = _schedule_for(3, 6, 4, 0.05, 20)
+    sched = _schedule_for(3, 6, 4, 0.05)
     res = decode(code, y, epsilon=0.05, schedule=sched, l_max=20, rng=7,
                  reference=y)
     assert np.all(res.decided == 0)
@@ -299,7 +428,7 @@ def test_decode_deterministic_for_fixed_seed():
     code = sample_code(120, 3, 6, F4, seed=43)
     rng = np.random.default_rng(77)
     y = transmit(np.zeros(120, dtype=np.int32), ChannelParams(F4, 0.2), rng)
-    sched = _schedule_for(3, 6, 4, 0.2, 30)
+    sched = _schedule_for(3, 6, 4, 0.2)
     a = decode(code, y, 0.2, sched, 30, rng=123)
     b = decode(code, y, 0.2, sched, 30, rng=123)
     assert np.array_equal(a.decided, b.decided)
@@ -311,7 +440,7 @@ def test_decode_deterministic_for_fixed_seed():
 def test_decode_corrects_below_threshold():
     code = sample_code(1200, 3, 6, F4, seed=47)
     params = ChannelParams(F4, 0.04)
-    sched = _schedule_for(3, 6, 4, 0.04, 60)
+    sched = _schedule_for(3, 6, 4, 0.04)
     zero = np.zeros(1200, dtype=np.int32)
     total_in = total_out = 0
     for seed in range(5):
@@ -328,7 +457,7 @@ def test_decode_matches_scalar_reference_pipeline():
     rng = np.random.default_rng(301)
     y = rng.integers(0, 4, size=9).astype(np.int32)
     eps, l_max = 0.1, 3
-    sched = XiSchedule([0.3, 0.2, 0.12], q=4)
+    sched = XiSchedule([0.3, 0.2, 0.12])
     res = decode(code, y, eps, sched, l_max, rng=555)
 
     # scalar re-implementation with the documented draw order: one spawn,
@@ -364,7 +493,7 @@ def test_decode_coset_symmetry_is_exact():
     code = sample_code(30, 3, 6, F4, seed=53)
     c = find_nonzero_codeword(code)
     params = ChannelParams(F4, 0.15)
-    sched = _schedule_for(3, 6, 4, 0.15, 25)
+    sched = _schedule_for(3, 6, 4, 0.15)
     zero = np.zeros(30, dtype=np.int32)
     for seed in range(8):
         noise = transmit(zero, params, np.random.default_rng(2000 + seed))
@@ -379,7 +508,7 @@ def test_decode_short_schedule_repeats_final_value():
     code = sample_code(60, 3, 6, F4, seed=59)
     y = transmit(np.zeros(60, dtype=np.int32), ChannelParams(F4, 0.05),
                  np.random.default_rng(8))
-    short = XiSchedule([0.3, 0.05], q=4)
+    short = XiSchedule([0.3, 0.05])
     res = decode(code, y, 0.05, short, l_max=15, rng=3)
     assert res.decided.shape == (60,)
     assert res.iterations == 15
@@ -389,7 +518,7 @@ def test_decode_reports_final_errors_against_reference():
     code = sample_code(120, 3, 6, F4, seed=61)
     zero = np.zeros(120, dtype=np.int32)
     y = transmit(zero, ChannelParams(F4, 0.06), np.random.default_rng(9))
-    sched = _schedule_for(3, 6, 4, 0.06, 40)
+    sched = _schedule_for(3, 6, 4, 0.06)
     res = decode(code, y, 0.06, sched, 40, rng=11, reference=zero)
     assert res.diagnostics[-1].symbol_errors == int((res.decided != 0).sum())
     assert res.diagnostics[-1].symbol_errors <= int((y != 0).sum())
@@ -399,7 +528,7 @@ def test_decode_reference_does_not_change_decisions():
     code = sample_code(60, 3, 6, F4, seed=67)
     zero = np.zeros(60, dtype=np.int32)
     y = transmit(zero, ChannelParams(F4, 0.1), np.random.default_rng(10))
-    sched = _schedule_for(3, 6, 4, 0.1, 20)
+    sched = _schedule_for(3, 6, 4, 0.1)
     with_ref = decode(code, y, 0.1, sched, 20, rng=19, reference=zero)
     without = decode(code, y, 0.1, sched, 20, rng=19)
     assert np.array_equal(with_ref.decided, without.decided)
@@ -409,7 +538,7 @@ def test_decode_reference_does_not_change_decisions():
 def test_decode_rejects_epsilon_at_channel_ceiling():
     # the same [0, (q-1)/q) rule as ChannelParams and density evolution
     code = sample_code(12, 3, 4, F4, seed=71)
-    sched = XiSchedule([0.2], q=4)
+    sched = XiSchedule([0.2])
     y = np.zeros(12, dtype=np.int32)
     with pytest.raises(ValueError):
         decode(code, y, 0.75, sched, 5, rng=0)
@@ -418,6 +547,6 @@ def test_decode_rejects_epsilon_at_channel_ceiling():
 
 def test_decode_validates_input_length():
     code = sample_code(12, 3, 4, F4, seed=71)
-    sched = XiSchedule([0.2], q=4)
+    sched = XiSchedule([0.2])
     with pytest.raises(ValueError):
         decode(code, np.zeros(11, dtype=np.int32), 0.1, sched, 5, rng=0)
