@@ -24,7 +24,7 @@ from .channel import capacity, shannon_limit
 from .code import sample_code, save_code
 from .de import de_run
 from .galois import build_field
-from .montecarlo import StopRule, sweep
+from .montecarlo import StopRule, simulate
 
 #: CSV column order of each report; JSON output carries the same keys.
 DE_COLUMNS = ("iteration", "p0_lower", "p0_upper", "xi_lower", "xi_upper")
@@ -129,8 +129,9 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     frame_target = args.frame_errors if args.frame_errors > 0 else None
     stop = StopRule(max_frames=args.max_frames,
                     target_frame_errors=frame_target)
-    results = sweep(code, epsilons, l_max=args.iters, stop=stop,
-                    seed=args.seed, workers=args.workers)
+    # one seed at every epsilon couples the noise monotonically across them
+    results = [simulate(code, eps, args.iters, stop=stop, seed=args.seed,
+                        workers=args.workers) for eps in epsilons]
     if args.plot:
         _render_waterfall(results, args.plot)
     return _render(_config_for(args), args.format,
@@ -250,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100,
                    help="decoder iterations per frame (default: 100)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int,
-                   help="process count; default: SMPDEC_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count (default: 1)")
     p.add_argument("--max-frames", type=int, default=10_000)
     p.add_argument("--frame-errors", type=int, default=100,
                    help="stop after this many frame errors; "

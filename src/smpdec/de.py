@@ -329,7 +329,8 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
                 lo += pf0 * p_lo
                 up += pf0 * p_up
 
-    return lo, up
+    # summation rounding can carry a sure win past 1
+    return min(lo, 1.0), min(up, 1.0)
 
 
 def _exact_tie_pay(k: int, s: int, t: int, c: int,

@@ -11,11 +11,12 @@ index order; frames decoded beyond the stopping point are discarded.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -23,10 +24,6 @@ from .channel import ChannelParams, transmit
 from .code import CodeGraph
 from .de import de_run
 from .smp import XiSchedule, decode
-
-#: Worker count used when neither the ``workers`` argument nor the
-#: SMPDEC_WORKERS environment variable is set.
-DEFAULT_WORKERS = 1
 
 
 @dataclass(frozen=True)
@@ -74,22 +71,6 @@ class SimResult:
                 "fer": self.fer, "wall_time": self.wall_time}
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Worker count: explicit argument, else SMPDEC_WORKERS, else 1."""
-    if workers is None:
-        raw = os.environ.get("SMPDEC_WORKERS")
-        if raw is None:
-            return DEFAULT_WORKERS
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"SMPDEC_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def default_schedule(dv: int, dc: int, q: int, epsilon: float,
                      l_max: int) -> XiSchedule:
     """Schedule from density evolution at the operating point.
@@ -113,24 +94,29 @@ def _decode_frame(code: CodeGraph, params: ChannelParams,
     return int(np.count_nonzero(result.decided))
 
 
-_WORKER_STATE: tuple | None = None
+def _frame_errors(state: tuple, workers: int,
+                  max_frames: int) -> Iterator[int]:
+    """Symbol error counts of frames 0, 1, ... in index order.
 
-
-def _init_worker(code: CodeGraph, params: ChannelParams,
-                 schedule: XiSchedule, l_max: int, seed: int) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (code, params, schedule, l_max, seed)
-
-
-def _worker_frame(index: int) -> int:
-    assert _WORKER_STATE is not None
-    return _decode_frame(*_WORKER_STATE, index)
+    ``state`` holds the leading arguments of ``_decode_frame``. With more
+    than one worker, frames run in a process pool in waves of two per
+    worker; closing the iterator cancels the wave's unstarted frames.
+    """
+    frame = partial(_decode_frame, *state)
+    if workers == 1:
+        yield from map(frame, range(max_frames))
+        return
+    wave = 2 * workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, max_frames, wave):
+            yield from pool.map(frame,
+                                range(first, min(first + wave, max_frames)))
 
 
 def simulate(code: CodeGraph, epsilon: float, l_max: int,
              schedule: XiSchedule | None = None,
              stop: StopRule | None = None, seed: int = 0,
-             workers: int | None = None) -> SimResult:
+             workers: int = 1) -> SimResult:
     """Estimate SER and FER at one channel flip probability.
 
     Results are identical for any worker count: each frame's outcome
@@ -143,48 +129,25 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
         raise ValueError(f"l_max must be positive, got {l_max}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     params = ChannelParams(field=code.field, epsilon=epsilon)
     if stop is None:
         stop = StopRule()
     if schedule is None:
         schedule = default_schedule(code.dv, code.dc, code.field.q, epsilon,
                                     l_max)
-    nworkers = resolve_workers(workers)
 
     start = time.perf_counter()
-    frames = 0
-    frame_errors = 0
-    symbol_errors = 0
-
-    def account(errors: int) -> bool:
-        nonlocal frames, frame_errors, symbol_errors
-        frames += 1
-        symbol_errors += errors
-        frame_errors += int(errors > 0)
-        return stop.satisfied(frames, frame_errors)
-
-    if nworkers == 1:
-        for index in range(stop.max_frames):
-            if account(_decode_frame(code, params, schedule, l_max, seed,
-                                     index)):
+    frames = frame_errors = symbol_errors = 0
+    state = (code, params, schedule, l_max, seed)
+    with closing(_frame_errors(state, workers, stop.max_frames)) as counts:
+        for errors in counts:
+            frames += 1
+            symbol_errors += errors
+            frame_errors += int(errors > 0)
+            if stop.satisfied(frames, frame_errors):
                 break
-    else:
-        wave = 2 * nworkers
-        with ProcessPoolExecutor(
-                max_workers=nworkers, initializer=_init_worker,
-                initargs=(code, params, schedule, l_max, seed)) as pool:
-            done = False
-            next_index = 0
-            while not done and next_index < stop.max_frames:
-                batch = range(next_index,
-                              min(next_index + wave, stop.max_frames))
-                futures = [pool.submit(_worker_frame, i) for i in batch]
-                next_index = batch.stop
-                for fut in futures:
-                    if done:
-                        fut.cancel()
-                    elif account(fut.result()):
-                        done = True
 
     wall = time.perf_counter() - start
     total_symbols = frames * code.n
@@ -193,16 +156,3 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
         frame_errors=frame_errors, ser=symbol_errors / total_symbols,
         fer=frame_errors / frames, l_max=l_max, seed=seed, wall_time=wall,
     )
-
-
-def sweep(code: CodeGraph, epsilons: Sequence[float], l_max: int,
-          stop: StopRule | None = None, seed: int = 0,
-          workers: int | None = None) -> list[SimResult]:
-    """Simulate each flip probability in turn.
-
-    The same seed is reused at every point, so frame i sees the same
-    underlying uniforms everywhere and the noise realizations are
-    coupled monotonically across epsilons.
-    """
-    return [simulate(code, eps, l_max, stop=stop, seed=seed,
-                     workers=workers) for eps in epsilons]

@@ -17,6 +17,12 @@ def test_threshold_3_5_q4_matches_reference_value():
     assert res.settings["bisect_tol"] == 1e-4
 
 
+def test_threshold_exact_mode_rate_half_dv6():
+    # the paper's (6,12) GF(4) entry; exact steps here sum to just above 1
+    res = find_threshold(6, 12, 4, mode="exact")
+    assert res.eps_star_lower == pytest.approx(0.074, abs=1e-3)
+
+
 def test_threshold_zero_for_degree_two():
     res = find_threshold(2, 4, 4)
     assert res.eps_star_upper < 5e-3
@@ -62,7 +68,7 @@ def test_table_report_empty_field_list():
     assert table_report([(3, 5)], []) == []
 
 
-def test_rows_to_csv_round_trip():
+def test_table_rows_render_as_csv():
     rows = [{"dv": 3, "dc": 5, "q": 4, "eps_star_lower": 0.123,
              "eps_star_upper": 0.1234, "eps_shannon": 0.248}]
     config = {"command": "threshold", "version": __version__, "options": {}}

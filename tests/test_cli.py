@@ -146,3 +146,15 @@ def test_rejects_non_power_of_two_field(capsys):
         captured = capsys.readouterr()
         assert "power of two" in captured.err, argv
         assert captured.out == "", argv
+
+
+def test_negative_seed_is_refused_with_one_message(capsys):
+    for argv in (["simulate", "--dv", "3", "--dc", "6", "--q", "4",
+                  "--n", "120", "--eps", "0.1", "--seed", "-1"],
+                 ["codegen", "--n", "60", "--dv", "3", "--dc", "6",
+                  "--q", "4", "--seed", "-1"]):
+        rc = main(argv)
+        assert rc == 1, argv
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative, got -1" in captured.err, argv
+        assert captured.out == "", argv

@@ -273,6 +273,12 @@ def test_vn_exact_perfect_extrinsic():
         assert vn_step_exact(0.0, 0.1, dv, q) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_vn_steps_stay_probabilities_near_a_sure_win():
+    # the summed win probability rounds to 1 + 2^-52 here unless clamped
+    assert vn_step_exact(1e-6, 0.01, 8, 4) <= 1.0
+    assert vn_step_bounded(1e-6, 0.01, 8, 4).upper <= 1.0
+
+
 def test_vn_exact_reference_point_matches_brute_force():
     got = vn_step_exact(0.3, 0.12, 3, 4)
     assert got == pytest.approx(vn_oracle(0.3, 0.12, 3, 4), abs=1e-12)

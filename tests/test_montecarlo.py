@@ -7,7 +7,7 @@ from smpdec.cli import RESULT_COLUMNS, _render
 from smpdec.code import sample_code
 from smpdec.de import de_run
 from smpdec.galois import build_field
-from smpdec.montecarlo import SimResult, StopRule, simulate, sweep
+from smpdec.montecarlo import SimResult, StopRule, simulate
 from smpdec.smp import XiSchedule
 
 
@@ -38,15 +38,19 @@ def test_deterministic_across_worker_counts(small_code):
     assert r1.symbol_errors > 0
 
 
-def test_env_var_sets_worker_count(small_code, monkeypatch):
-    stop = StopRule(max_frames=4, target_frame_errors=None)
-    base = simulate(small_code, 0.12, l_max=20, stop=stop, seed=5, workers=1)
-    monkeypatch.setenv("SMPDEC_WORKERS", "2")
-    from_env = simulate(small_code, 0.12, l_max=20, stop=stop, seed=5)
-    assert _fields(base) == _fields(from_env)
-    monkeypatch.setenv("SMPDEC_WORKERS", "not-a-number")
-    with pytest.raises(ValueError):
-        simulate(small_code, 0.12, l_max=20, stop=stop, seed=5)
+def test_pool_stops_mid_wave_like_one_worker(small_code):
+    # the stop lands inside the second two-worker wave of four frames
+    stop = StopRule(max_frames=40, target_frame_errors=5)
+    r1 = simulate(small_code, 0.12, l_max=15, stop=stop, seed=3, workers=1)
+    r2 = simulate(small_code, 0.12, l_max=15, stop=stop, seed=3, workers=2)
+    assert _fields(r1) == _fields(r2)
+    assert r1.frames_run < 40
+    assert r1.frame_errors == 5
+
+
+def test_simulate_validates_worker_count(small_code):
+    with pytest.raises(ValueError, match="worker count"):
+        simulate(small_code, 0.12, l_max=20, workers=0)
 
 
 def test_stop_rule_frame_errors(small_code):
@@ -91,8 +95,8 @@ def test_noise_coupling_across_epsilons(small_code):
 
 def test_sweep_and_csv(small_code):
     stop = StopRule(max_frames=2, target_frame_errors=None)
-    results = sweep(small_code, [0.05, 0.15], l_max=10, stop=stop, seed=6)
-    assert [r.epsilon for r in results] == [0.05, 0.15]
+    results = [simulate(small_code, eps, l_max=10, stop=stop, seed=6)
+               for eps in (0.05, 0.15)]
     config = {"command": "simulate", "version": __version__, "options": {}}
     text = _render(config, "csv", [r.to_json() for r in results],
                    RESULT_COLUMNS)
@@ -102,10 +106,6 @@ def test_sweep_and_csv(small_code):
     first = lines[1].split(",")
     assert float(first[0]) == 0.05
     assert int(first[1]) == 2
-
-
-def test_sweep_empty_grid(small_code):
-    assert sweep(small_code, [], l_max=10) == []
 
 
 def test_simulate_validates_epsilon(small_code):
