@@ -69,12 +69,15 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
     valid bracket.  Bounded mode runs two bisections, one per
     trajectory, reusing evaluations where the probe points coincide;
     exact mode runs one and reports a degenerate bracket.
+    ``bisect_tol`` must lie in [MIN_BISECT_TOL, (q-1)/q): a coarser one
+    would end the search before any density-evolution run.
     """
-    if bisect_tol < MIN_BISECT_TOL:
-        raise ValueError(f"bisect_tol must be >= {MIN_BISECT_TOL}")
+    ceiling = (q - 1) / q
+    if not MIN_BISECT_TOL <= bisect_tol < ceiling:
+        raise ValueError(f"bisect_tol must be in [{MIN_BISECT_TOL}, "
+                         f"{ceiling}), got {bisect_tol}")
     mode = resolve_mode(q, mode)
 
-    ceiling = (q - 1) / q
     cache: dict[float, tuple[bool, bool]] = {}
 
     def flags(eps: float) -> tuple[bool, bool]:

@@ -119,15 +119,28 @@ def shannon_limit(q: int, rate: float) -> float:
 #: before entering weight_D, keeping weight ratios finite and positive.
 PROB_FLOOR = 1e-12
 
+#: weight_ratio returns a weight within this distance of an integer >= 1
+#: as that integer, so that it ties vote counts exactly.
+WEIGHT_TIE_TOL = 1e-9
+
 
 def weight_ratio(q: int, epsilon: float, xi: float) -> float:
     """Channel-versus-vote weight D(epsilon) / D(xi), with clamping.
 
     Both arguments are clamped into [PROB_FLOOR, (q-1)/q - PROB_FLOOR]
     so the ratio is finite and strictly positive even at the endpoints.
+    A ratio within WEIGHT_TIE_TOL of an integer r >= 1 is returned as
+    exactly r. This is the one score-tie rule of the decoder and of
+    density evolution: the channel symbol ties a vote count iff the
+    weight is integral. A weight below 1 - WEIGHT_TIE_TOL is never
+    snapped, so a vanishing weight still lets the channel symbol win.
     """
     lo = PROB_FLOOR
     hi = (q - 1) / q - PROB_FLOOR
     eps_c = min(max(epsilon, lo), hi)
     xi_c = min(max(xi, lo), hi)
-    return weight_D(q, eps_c) / weight_D(q, xi_c)
+    w = weight_D(q, eps_c) / weight_D(q, xi_c)
+    r = round(w)
+    if r >= 1 and abs(w - r) <= WEIGHT_TIE_TOL:
+        return float(r)
+    return w

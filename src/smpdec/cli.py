@@ -126,7 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     code = sample_code(args.n, args.dv, args.dc, field, seed=args.seed)
     epsilons = [args.eps] if args.eps is not None \
         else _float_list(args.eps_grid)
-    frame_target = args.frame_errors if args.frame_errors > 0 else None
+    frame_target = None if args.frame_errors == 0 else args.frame_errors
     stop = StopRule(max_frames=args.max_frames,
                     target_frame_errors=frame_target)
     # one seed at every epsilon couples the noise monotonically across them

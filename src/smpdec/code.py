@@ -98,11 +98,14 @@ def sample_code(n: int, dv: int, dc: int, field: FieldSpec, seed: int) -> CodeGr
     Raises
     ------
     ValueError
-        On a negative seed, degree or divisibility violations, or if
-        parallel-edge repair fails for every resampling attempt.
+        On a negative seed, a length below 1, degree or divisibility
+        violations, or if parallel-edge repair fails for every
+        resampling attempt.
     """
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if n < 1:
+        raise ValueError(f"codeword length must be positive, got {n}")
     if dv < 2:
         raise ValueError("variable node degree must be at least 2")
     if dc <= dv:

@@ -43,10 +43,6 @@ __all__ = [
 #: distance of 1.
 DELTA_CONV = 1e-9
 
-#: A channel weight within this distance of an integer is treated as
-#: integral, activating the score-tie branches of the update.
-WEIGHT_TIE_TOL = 1e-9
-
 
 # ----------------------------------------------------------------------
 # Interval container and trace records
@@ -229,20 +225,6 @@ def _binom_pmf(j: int, n: int, p: float) -> float:
         + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
-def _integral_weight(w: float) -> int | None:
-    """Round w to an int when within WEIGHT_TIE_TOL, else None.
-
-    Weights below 1 - WEIGHT_TIE_TOL are never integral: a vanishing
-    weight cannot tie the zero count of an empty cell in a meaningful
-    way, and treating it as non-integral lets the correct cell keep
-    winning those comparisons.
-    """
-    r = round(w)
-    if r >= 1 and abs(w - r) <= WEIGHT_TIE_TOL:
-        return r
-    return None
-
-
 def _max_lt_eq(k: int, s: int, t: int) -> tuple[float, float]:
     """(P(max < t), P(max = t)) for s balls uniform over k cells, t >= 1."""
     if k == 0:
@@ -276,7 +258,9 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
         raise ValueError(f"xi must be in [0, 1], got {xi}")
     check_epsilon(q, epsilon)
     w = weight_ratio(q, epsilon, xi)
-    w_int = _integral_weight(w)
+    # weight_ratio snaps near-integral weights, so only an integral w
+    # lets the channel symbol tie a vote count
+    tie = w.is_integer()
     w_floor = math.floor(w)
     s_tot = dv - 1
     k = q - 1
@@ -289,12 +273,12 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
         if pf == 0.0:
             continue
         s = s_tot - f0
-        if w_int is None:
+        if not tie:
             win = multinomial_max_cdf(k, s, f0 + w_floor)
             lo += pf * win
             up += pf * win
         else:
-            t = f0 + w_int
+            t = f0 + w_floor
             p_lo, p_up = tie_pay(k, s, t, 1, 1 + min(s // t, k))
             lo += pf * p_lo
             up += pf * p_up
@@ -308,7 +292,7 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
             continue
         rem = s_tot - f1
         pc = (1.0 - xi) / (1.0 - p_cell1) if rem else 1.0
-        f0_min = f1 + (w_int if w_int is not None else w_floor) + 1
+        f0_min = f1 + w_floor + 1
         for f0 in range(f0_min, rem + 1):
             pf0 = _binom_pmf(f0, rem, pc) * pf1
             if pf0 == 0.0:
@@ -318,8 +302,8 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
             p_lo, p_up = tie_pay(k - 1, s, f0, 1, 1 + min(s // f0, k - 1))
             lo += pf0 * p_lo
             up += pf0 * p_up
-        if w_int is not None and f1 + w_int <= rem:
-            a1 = f1 + w_int
+        if tie and f1 + w_floor <= rem:
+            a1 = f1 + w_floor
             pf0 = _binom_pmf(a1, rem, pc) * pf1
             if pf0 > 0.0:
                 # sent symbol ties the observed one; both join the argmax,

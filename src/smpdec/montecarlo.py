@@ -32,8 +32,8 @@ class StopRule:
 
     The run ends at the first frame index where ``max_frames`` frames
     have run or, unless it is None, ``target_frame_errors`` frames have
-    failed.  The defaults aim at roughly 10% relative accuracy on the
-    frame error rate without an unbounded run.
+    failed; both must be at least 1.  The defaults aim at roughly 10%
+    relative accuracy on the frame error rate without an unbounded run.
     """
 
     max_frames: int = 10_000
@@ -42,6 +42,10 @@ class StopRule:
     def __post_init__(self) -> None:
         if self.max_frames < 1:
             raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
+        if self.target_frame_errors is not None \
+                and self.target_frame_errors < 1:
+            raise ValueError("target_frame_errors must be >= 1 or None, "
+                             f"got {self.target_frame_errors}")
 
     def satisfied(self, frames: int, frame_errors: int) -> bool:
         if frames >= self.max_frames:

@@ -4,8 +4,10 @@ Messages are single field symbols. Check nodes forward the parity
 completion of their inputs; variable nodes count incoming votes per
 symbol, add a weight w = D(epsilon)/D(xi) to the channel observation,
 and emit the highest-scoring symbol, breaking ties uniformly at random.
-The per-iteration vote quality xi comes from a density-evolution
-schedule. All message updates are vectorized over edges.
+Scores tie only when equal: ``weight_ratio`` snaps a near-integral w, so
+the channel symbol ties a vote count exactly where density evolution
+counts the tie. The per-iteration vote quality xi comes from a
+density-evolution schedule. All message updates are vectorized over edges.
 """
 
 from __future__ import annotations
@@ -19,17 +21,11 @@ from .code import CodeGraph
 
 __all__ = [
     "DecodeResult",
-    "IterationDiag",
     "XiSchedule",
     "cn_update",
     "decode",
     "vn_update",
 ]
-
-#: Two scores tie iff their difference is within this fraction of
-#: max(1, top score). For non-integral channel weights this coincides
-#: with exact equality of (count, channel flag) pairs.
-TIE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def _tie_argmax(cand: np.ndarray, scores: np.ndarray, canon: np.ndarray,
     """
     smax = scores.max(axis=1, keepdims=True)
     assert smax.min() > 0.0, "at least one vote plus a positive weight"
-    tied = (scores >= smax - TIE_REL_TOL * np.maximum(1.0, smax)) & canon
+    tied = (scores == smax) & canon
     ntied = tied.sum(axis=1)
     pick = np.minimum((u * ntied).astype(np.int64), ntied - 1)
     chosen = tied & (np.cumsum(tied, axis=1) == (pick + 1)[:, None])
@@ -152,39 +148,25 @@ def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
 
 
 @dataclass(frozen=True)
-class IterationDiag:
-    """Diagnostics of one decoder iteration."""
-
-    iteration: int
-    tie_events: int
-    symbol_errors: int | None
-
-
-@dataclass
 class DecodeResult:
-    """Final decisions plus per-iteration diagnostics."""
+    """Final decisions plus the tie count of every iteration."""
 
     decided: np.ndarray
-    iterations: int
-    diagnostics: list[IterationDiag]
+    tie_events: tuple
 
 
 def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
            schedule: XiSchedule, l_max: int,
-           rng: np.random.Generator | int | None = None,
-           *, reference: np.ndarray | None = None) -> DecodeResult:
+           rng: np.random.Generator | int | None = None) -> DecodeResult:
     """Run l_max decoder iterations and take the final decision.
 
     Iteration 1 sends the channel word along every edge; afterwards
     check and variable updates alternate, the variable step of iteration
     l using schedule.value_at(l). The final decision aggregates all dv
-    incoming votes plus the channel weight (non-extrinsic).
-
-    When ``reference`` is given, diagnostics include per-iteration
-    symbol-error counts of tentative decisions; those draw from a
-    spawned child generator, so decisions are bit-identical whether or
-    not a reference is supplied. A fixed rng seed makes the whole run
-    deterministic.
+    incoming votes plus the channel weight (non-extrinsic). Each
+    iteration's tie count is reported: tied edges for the message steps,
+    tied variable nodes for the final decision. A fixed rng seed makes
+    the whole run deterministic.
     """
     y = np.asarray(y, dtype=np.int32)
     if y.shape != (code.n,):
@@ -194,34 +176,18 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     check_epsilon(code.field.q, epsilon)
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")
-    if reference is not None:
-        reference = np.asarray(reference, dtype=np.int32)
-        if reference.shape != (code.n,):
-            raise ValueError(f"reference word must have length {code.n}")
 
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(rng)
-    diag_rng = gen.spawn(1)[0]
-
     mu_vc = y[code.edge_vn].astype(np.int32)
-    diagnostics: list[IterationDiag] = []
-    decided = None
-    for it in range(1, l_max + 1):
+    tie_events = []
+    for it in range(1, l_max):
         mu_cv = cn_update(code, mu_vc)
-        xi = schedule.value_at(it)
-        if it < l_max:
-            mu_vc, ties = vn_update(code, mu_cv, y, epsilon, xi, gen)
-            if reference is not None:
-                tentative, _ = _decision(code, mu_cv, y, epsilon, xi,
-                                         diag_rng)
-                errors = int((tentative != reference).sum())
-            else:
-                errors = None
-        else:
-            decided, ties = _decision(code, mu_cv, y, epsilon, xi, gen)
-            errors = int((decided != reference).sum()) \
-                if reference is not None else None
-        diagnostics.append(IterationDiag(iteration=it, tie_events=ties,
-                                         symbol_errors=errors))
-    return DecodeResult(decided=decided, iterations=l_max,
-                        diagnostics=diagnostics)
+        mu_vc, ties = vn_update(code, mu_cv, y, epsilon,
+                                schedule.value_at(it), gen)
+        tie_events.append(ties)
+    mu_cv = cn_update(code, mu_vc)
+    decided, ties = _decision(code, mu_cv, y, epsilon,
+                              schedule.value_at(l_max), gen)
+    tie_events.append(ties)
+    return DecodeResult(decided=decided, tie_events=tuple(tie_events))

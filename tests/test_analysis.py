@@ -43,8 +43,11 @@ def test_threshold_nondecreasing_in_field_order():
 
 
 def test_threshold_rejects_too_fine_tolerance():
-    with pytest.raises(ValueError):
-        find_threshold(3, 5, 4, bisect_tol=1e-6)
+    # a tolerance at or above the channel ceiling 0.75, or NaN, would
+    # also end the bisection before its first density-evolution run
+    for tol in (1e-6, 0.75, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="bisect_tol"):
+            find_threshold(3, 5, 4, bisect_tol=tol)
 
 
 def test_threshold_result_validates_interval():

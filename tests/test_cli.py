@@ -149,12 +149,40 @@ def test_rejects_non_power_of_two_field(capsys):
 
 
 def test_negative_seed_is_refused_with_one_message(capsys):
-    for argv in (["simulate", "--dv", "3", "--dc", "6", "--q", "4",
-                  "--n", "120", "--eps", "0.1", "--seed", "-1"],
-                 ["codegen", "--n", "60", "--dv", "3", "--dc", "6",
-                  "--q", "4", "--seed", "-1"]):
+    # a codeword length below 1 is refused the same way
+    seed = "seed must be nonnegative, got -1"
+    for argv, message in (
+            (["simulate", "--dv", "3", "--dc", "6", "--q", "4", "--n", "120",
+              "--eps", "0.1", "--seed", "-1"], seed),
+            (["codegen", "--n", "60", "--dv", "3", "--dc", "6", "--q", "4",
+              "--seed", "-1"], seed),
+            (["simulate", "--dv", "3", "--dc", "6", "--q", "4", "--n", "0",
+              "--eps", "0.1"], "codeword length must be positive, got 0"),
+            (["codegen", "--n", "-6", "--dv", "3", "--dc", "6", "--q", "4"],
+             "codeword length must be positive, got -6")):
         rc = main(argv)
         assert rc == 1, argv
         captured = capsys.readouterr()
-        assert "seed must be nonnegative, got -1" in captured.err, argv
+        assert message in captured.err, argv
         assert captured.out == "", argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_threshold_refuses_non_finite_tolerance(capsys, tol, fmt):
+    rc = main(["threshold", "--dv", "3", "--dc", "6", "--q", "4",
+               "--tol", tol, "--format", fmt])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"bisect_tol must be in [1e-05, 0.75), got {tol}" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_frame_error_target_is_refused(capsys):
+    rc = main(["simulate", "--dv", "3", "--dc", "6", "--q", "4", "--n",
+               "120", "--eps", "0.1", "--max-frames", "3",
+               "--frame-errors", "-5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "target_frame_errors must be >= 1 or None, got -5" in captured.err
+    assert captured.out == ""

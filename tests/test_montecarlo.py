@@ -53,6 +53,15 @@ def test_simulate_validates_worker_count(small_code):
         simulate(small_code, 0.12, l_max=20, workers=0)
 
 
+@pytest.mark.parametrize("target", [0, -5])
+def test_stop_rule_refuses_target_below_one(target):
+    # None is the one way to disable the frame-error target
+    with pytest.raises(ValueError, match="target_frame_errors"):
+        StopRule(max_frames=10, target_frame_errors=target)
+    assert not StopRule(max_frames=10,
+                        target_frame_errors=None).satisfied(9, 9)
+
+
 def test_stop_rule_frame_errors(small_code):
     res = simulate(small_code, 0.2, l_max=10,
                    stop=StopRule(max_frames=50, target_frame_errors=3),
