@@ -12,8 +12,9 @@ optimistic trajectory.  In exact mode the two coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
+from .channel import _bisect
 from .de import DELTA_CONV, de_run, resolve_mode
 
 #: Refusing tolerances finer than the bisection can honestly deliver:
@@ -41,22 +42,6 @@ class ThresholdResult:
                 "threshold bracket must satisfy "
                 f"0 <= lower <= upper < {ceiling}: got "
                 f"[{self.eps_star_lower}, {self.eps_star_upper}]")
-
-
-def _bisect(predicate: Callable[[float], bool], lo: float, hi: float,
-            tol: float) -> float:
-    """Largest-good-point bisection on [lo, hi].
-
-    ``lo`` is assumed good and ``hi`` bad; neither endpoint is
-    evaluated.  Returns the midpoint of the final bracket.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,

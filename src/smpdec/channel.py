@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .galois import FieldSpec
 
@@ -37,8 +37,9 @@ class ChannelParams:
 def check_epsilon(q: int, epsilon: float) -> None:
     """Reject flip probabilities outside [0, (q-1)/q).
 
-    Every entry point that takes a channel flip probability applies this
+    Every entry point that runs the channel or its weights applies this
     one rule: the decoder, density evolution and ChannelParams.
+    ``capacity`` alone also takes the zero-capacity endpoint (q-1)/q.
     """
     if not 0.0 <= epsilon < (q - 1) / q:
         raise ValueError(
@@ -75,7 +76,16 @@ def capacity(q: int, epsilon: float) -> float:
 
     C = 1 + eps*log_q(eps/(q-1)) + (1-eps)*log_q(1-eps), with 0*log(0)
     taken as 0 at eps = 0.
+
+    Raises
+    ------
+    ValueError
+        If epsilon is NaN or outside [0, (q-1)/q]: the decoder's range
+        plus the zero-capacity endpoint.
     """
+    if not 0.0 <= epsilon <= (q - 1) / q:
+        raise ValueError(
+            f"epsilon must be in [0, {(q - 1) / q}] for q={q}, got {epsilon}")
     if epsilon == 0:
         return 1.0
     logq = math.log(q)
@@ -98,6 +108,24 @@ def weight_D(q: int, p: float) -> float:
     return math.log(1.0 - p) - math.log(p / (q - 1))
 
 
+def _bisect(predicate: Callable[[float], bool], lo: float, hi: float,
+            tol: float) -> float:
+    """Largest-good-point bisection on [lo, hi].
+
+    ``lo`` is assumed good and ``hi`` bad; neither endpoint is
+    evaluated.  Returns the midpoint of the final bracket.  The one root
+    search of the package: ``shannon_limit`` and the threshold search in
+    ``analysis`` both use it.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def shannon_limit(q: int, rate: float) -> float:
     """Largest eps whose capacity still reaches the given rate.
 
@@ -111,8 +139,7 @@ def shannon_limit(q: int, rate: float) -> float:
     """
     if not 0 < rate < 1:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
-    hi = (q - 1) / q
-    return float(bisect(lambda e: capacity(q, e) - rate, 0.0, hi, xtol=1e-6))
+    return _bisect(lambda e: capacity(q, e) >= rate, 0.0, (q - 1) / q, 1e-6)
 
 
 #: Flip probabilities are clamped to [PROB_FLOOR, (q-1)/q - PROB_FLOOR]

@@ -49,12 +49,21 @@ def _field_order(q: int) -> int:
     return m
 
 
+def _tokens(text: str) -> list[str]:
+    """Entries of a comma-separated list, which must name at least one."""
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError(f"expected a comma-separated list with at least "
+                         f"one entry, got {text!r}")
+    return tokens
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in _tokens(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [float(tok) for tok in _tokens(text)]
 
 
 def _comment_block(config: dict) -> str:

@@ -27,43 +27,39 @@ class CodeGraph:
     """A labeled regular Tanner graph.
 
     Edges are stored in VN-major order: edge e = v * dv + slot connects
-    VN v through its slot-th socket, so ``edge_vn`` is fixed by (n, dv).
+    VN v through its slot-th socket, so ``edge_vn`` and ``m_checks`` are
+    fixed by (n, dv, dc) and derived, not stored.
     The graph is simple: no VN has two edges to the same CN, whether it
     was sampled or loaded. Instances are treated as immutable after
     construction.
 
     Attributes
     ----------
-    n, m_checks : int
-        Number of variable and check nodes.
+    n : int
+        Number of variable nodes.
     dv, dc : int
         Variable and check node degrees.
     field : FieldSpec
         The label alphabet GF(q).
-    edge_vn, edge_cn : np.ndarray
-        Endpoint indices per edge.
+    edge_cn : np.ndarray
+        CN endpoint index per edge.
     edge_label : np.ndarray
         Nonzero labels per edge.
     """
 
     n: int
-    m_checks: int
     dv: int
     dc: int
     field: FieldSpec
-    edge_vn: np.ndarray = field(repr=False)
     edge_cn: np.ndarray = field(repr=False)
     edge_label: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         e = self.n * self.dv
-        if e != self.m_checks * self.dc:
-            raise ValueError("socket counts disagree: n*dv != m_checks*dc")
-        if self.edge_vn.shape != (e,) or self.edge_cn.shape != (e,) \
-                or self.edge_label.shape != (e,):
+        if e % self.dc != 0:
+            raise ValueError(f"n*dv = {e} is not divisible by dc = {self.dc}")
+        if self.edge_cn.shape != (e,) or self.edge_label.shape != (e,):
             raise ValueError("edge arrays must have length n*dv")
-        if not np.array_equal(self.edge_vn, np.repeat(np.arange(self.n), self.dv)):
-            raise ValueError("edges must be in VN-major order")
         if not np.all(np.bincount(self.edge_cn, minlength=self.m_checks) == self.dc):
             raise ValueError("every CN must have degree dc")
         if _parallel_rows(self.edge_cn, self.n, self.dv).size:
@@ -71,10 +67,33 @@ class CodeGraph:
         if np.any(self.edge_label < 1) or np.any(self.edge_label >= self.field.q):
             raise ValueError("labels must be nonzero field elements")
 
+    @property
+    def m_checks(self) -> int:
+        """Number of check nodes, n * dv / dc."""
+        return self.n * self.dv // self.dc
+
+    @cached_property
+    def edge_vn(self) -> np.ndarray:
+        """VN endpoint index per edge: each VN's dv edges are consecutive."""
+        return np.repeat(np.arange(self.n), self.dv)
+
     @cached_property
     def cn_edge_perm(self) -> np.ndarray:
         """Edge permutation that groups edges by CN (dc consecutive each)."""
         return np.argsort(self.edge_cn, kind="stable")
+
+
+def check_degrees(dv: int, dc: int) -> None:
+    """Reject degrees outside the ensembles analysed: 2 <= dv < dc.
+
+    Sampling and density evolution apply this one rule; dc > dv keeps
+    the design rate 1 - dv/dc positive.
+    """
+    if dv < 2:
+        raise ValueError(f"variable node degree must be at least 2, got {dv}")
+    if dc <= dv:
+        raise ValueError("check node degree must exceed variable node "
+                         f"degree, got dv={dv}, dc={dc}")
 
 
 def sample_code(n: int, dv: int, dc: int, field: FieldSpec, seed: int) -> CodeGraph:
@@ -106,13 +125,9 @@ def sample_code(n: int, dv: int, dc: int, field: FieldSpec, seed: int) -> CodeGr
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if n < 1:
         raise ValueError(f"codeword length must be positive, got {n}")
-    if dv < 2:
-        raise ValueError("variable node degree must be at least 2")
-    if dc <= dv:
-        raise ValueError("check node degree must exceed variable node degree")
+    check_degrees(dv, dc)
     if (n * dv) % dc != 0:
         raise ValueError(f"n*dv = {n * dv} is not divisible by dc = {dc}")
-    m_checks = n * dv // dc
     n_edges = n * dv
 
     for attempt in range(_SAMPLE_ATTEMPTS):
@@ -120,8 +135,7 @@ def sample_code(n: int, dv: int, dc: int, field: FieldSpec, seed: int) -> CodeGr
         edge_cn = rng.permutation(n_edges) // dc
         if _repair_parallel_edges(edge_cn, n, dv, rng):
             labels = rng.integers(1, field.q, size=n_edges, dtype=np.int32)
-            return CodeGraph(n=n, m_checks=m_checks, dv=dv, dc=dc, field=field,
-                             edge_vn=np.repeat(np.arange(n), dv),
+            return CodeGraph(n=n, dv=dv, dc=dc, field=field,
                              edge_cn=edge_cn, edge_label=labels)
     raise ValueError(f"parallel-edge repair failed after {_SAMPLE_ATTEMPTS} attempts")
 
@@ -218,6 +232,5 @@ def load_code(source: TextIO, field: FieldSpec) -> CodeGraph:
                 raise ValueError(f"label {label} out of range at VN {v}")
             edge_cn[v * dv + slot] = cn - 1
             edge_label[v * dv + slot] = label
-    return CodeGraph(n=n, m_checks=m_checks, dv=dv, dc=dc, field=field,
-                     edge_vn=np.repeat(np.arange(n), dv),
+    return CodeGraph(n=n, dv=dv, dc=dc, field=field,
                      edge_cn=edge_cn, edge_label=edge_label)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .channel import check_epsilon, weight_ratio
+from .code import check_degrees
 
 __all__ = [
     "BoundedProb",
@@ -397,13 +398,11 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
     a lower and an upper trajectory; None picks as ``resolve_mode``
     does. The run stops once the lower trajectory reaches
     1 - DELTA_CONV (converged), stops making progress, or hits l_max.
+    The degrees must satisfy 2 <= dv < dc, as for a sampled code.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
-    if dv < 2:
-        raise ValueError(f"dv must be at least 2, got {dv}")
-    if dc < 2:
-        raise ValueError(f"dc must be at least 2, got {dc}")
+    check_degrees(dv, dc)
     check_epsilon(q, epsilon)
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")

@@ -95,6 +95,9 @@ def test_capacity_endpoints():
     for q in (2, 4, 64):
         assert capacity(q, 0.0) == pytest.approx(1.0)
         assert capacity(q, (q - 1) / q) == pytest.approx(0.0, abs=1e-12)
+        for eps in (-1e-12, (q - 1) / q + 1e-12, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be in"):
+                capacity(q, eps)
 
 
 def test_capacity_reference_value():

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smpdec
 from smpdec import __version__
 from smpdec.channel import capacity, shannon_limit
 from smpdec.cli import main
@@ -186,3 +191,59 @@ def test_negative_frame_error_target_is_refused(capsys):
     captured = capsys.readouterr()
     assert "target_frame_errors must be >= 1 or None, got -5" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("eps", ["nan", "-0.1", "0.9"])
+def test_capacity_refuses_epsilon_outside_its_domain(capsys, eps, fmt):
+    rc = main(["capacity", "--q", "4", "--eps", eps, "--format", fmt])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"epsilon must be in [0, 0.75] for q=4, got {float(eps)}" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_empty_list_is_refused(capsys):
+    for argv in (["threshold", "--dv", "3", "--dc", "6", "--q", ","],
+                 ["shannon", "--dv", "3", "--dc", "6", "--q", ","],
+                 ["simulate", "--dv", "3", "--dc", "6", "--q", "4",
+                  "--n", "120", "--eps-grid", ","]):
+        rc = main(argv)
+        assert rc == 1, argv
+        captured = capsys.readouterr()
+        assert "expected a comma-separated list with at least one entry, " \
+            "got ','" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_degrees_are_refused_with_one_message(capsys):
+    # threshold refuses before its first density-evolution run
+    for argv in (["de", "--dv", "3", "--dc", "2", "--q", "4", "--eps", "0.05"],
+                 ["de", "--dv", "3", "--dc", "3", "--q", "4", "--eps", "0.05"],
+                 ["threshold", "--dv", "3", "--dc", "3", "--q", "64"],
+                 ["simulate", "--dv", "3", "--dc", "3", "--q", "4",
+                  "--n", "120", "--eps", "0.1"],
+                 ["codegen", "--n", "60", "--dv", "3", "--dc", "3",
+                  "--q", "4"]):
+        rc = main(argv)
+        assert rc == 1, argv
+        captured = capsys.readouterr()
+        dc = argv[argv.index("--dc") + 1]
+        assert "check node degree must exceed variable node degree, " \
+            f"got dv=3, dc={dc}" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency; scipy serves tests only
+    src = str(Path(smpdec.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    code = ("import sys, smpdec.cli, smpdec.analysis, smpdec.montecarlo, "
+            "smpdec.smp; assert 'scipy' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -192,20 +192,26 @@ def test_load_rejects_parallel_edges():
 # ----------------------------------------------------------------------
 
 def test_codegraph_validates_invariants():
-    edge_vn = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
     edge_cn = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
     labels = np.array([1, 2, 3, 1, 2, 3], dtype=np.int32)
-    CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
-              edge_vn=edge_vn, edge_cn=edge_cn, edge_label=labels)
+    code = CodeGraph(n=3, dv=2, dc=3, field=F4,
+                     edge_cn=edge_cn, edge_label=labels)
+    assert code.m_checks == 2
+    assert np.array_equal(code.edge_vn, [0, 0, 1, 1, 2, 2])
 
     bad = labels.copy()
     bad[0] = 0
     with pytest.raises(ValueError):
-        CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
-                  edge_vn=edge_vn, edge_cn=edge_cn, edge_label=bad)
+        CodeGraph(n=3, dv=2, dc=3, field=F4,
+                  edge_cn=edge_cn, edge_label=bad)
+
+    # n*dv = 6 sockets cannot fill checks of degree 4
+    with pytest.raises(ValueError, match="not divisible"):
+        CodeGraph(n=3, dv=2, dc=4, field=F4,
+                  edge_cn=edge_cn, edge_label=labels)
 
     # degrees hold, but VNs 0 and 1 each meet one CN twice
     parallel = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
     with pytest.raises(ValueError, match="same CN"):
-        CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
-                  edge_vn=edge_vn, edge_cn=parallel, edge_label=labels)
+        CodeGraph(n=3, dv=2, dc=3, field=F4,
+                  edge_cn=parallel, edge_label=labels)

@@ -432,3 +432,6 @@ def test_de_run_validates_inputs():
         de_run(3, 5, 2, 0.02, mode="bounded")
     with pytest.raises(ValueError):
         de_run(1, 5, 4, 0.05)
+    for dc in (2, 3):
+        with pytest.raises(ValueError, match="check node degree must exceed"):
+            de_run(3, dc, 4, 0.05)

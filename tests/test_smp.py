@@ -220,8 +220,7 @@ def test_scoreboard_from_votes_weight():
 # ----------------------------------------------------------------------
 
 def _three_vn_code(labels):
-    return CodeGraph(n=3, m_checks=2, dv=2, dc=3, field=F4,
-                     edge_vn=np.array([0, 0, 1, 1, 2, 2]),
+    return CodeGraph(n=3, dv=2, dc=3, field=F4,
                      edge_cn=np.array([0, 1, 0, 1, 0, 1]),
                      edge_label=np.array(labels))
 
