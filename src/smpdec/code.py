@@ -78,6 +78,11 @@ class CodeGraph:
         return np.repeat(np.arange(self.n), self.dv)
 
     @cached_property
+    def inv_label(self) -> np.ndarray:
+        """Multiplicative inverse of every edge label."""
+        return self.field.inv_vec(self.edge_label)
+
+    @cached_property
     def cn_edge_perm(self) -> np.ndarray:
         """Edge permutation that groups edges by CN (dc consecutive each)."""
         return np.argsort(self.edge_cn, kind="stable")

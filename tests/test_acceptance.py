@@ -201,7 +201,7 @@ def test_acceptance_06_gallager_b_equivalence():
 def test_acceptance_07_finite_length_waterfall():
     start = time.perf_counter()
     code = sample_code(60_000, 3, 6, build_field(2), seed=1)
-    # Frame budgets keep this test around two minutes on one core while
+    # Frame budgets keep this test to seconds on one core while
     # leaving both estimates meaningful: 240k symbols above the
     # threshold, 720k below. The default stop rule reaches the same
     # verdict with many more frames.

@@ -357,26 +357,32 @@ _FIELDS = {2: F2, 4: F4, 8: F8}
 @st.composite
 def _vote_cases(draw):
     """A small random graph with messages and channel symbols drawn from
-    at most three symbols; xi = eps (w = 1 exactly) in some cases, so
-    votes tie each other and the channel."""
+    three to dv + 1 symbols (two over GF(2)). In some cases w is one of
+    the weights 0.5, 1, 1.5, ..., dv + 0.5, one per interval and integer
+    that the decoder's pattern tables tell apart, and w = 1 also comes
+    from xi = eps exactly, so votes tie each other and the channel."""
     field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
     q = field.q
-    dv = draw(st.integers(2, 4))
+    dv = draw(st.integers(2, 6))
     dc = draw(st.integers(dv + 1, dv + 3))
     n = dc * draw(st.integers(2, 3))
     code = sample_code(n, dv, dc, field, seed=draw(st.integers(0, 1000)))
-    alphabet = draw(st.lists(st.integers(0, q - 1), min_size=min(3, q),
-                             max_size=min(3, q), unique=True))
+    size = draw(st.integers(min(3, q), min(q, dv + 1)))
+    alphabet = draw(st.lists(st.integers(0, q - 1), min_size=size,
+                             max_size=size, unique=True))
     symbols = st.sampled_from(alphabet)
     mu = draw(st.lists(symbols, min_size=n * dv, max_size=n * dv))
     y = draw(st.lists(symbols, min_size=n, max_size=n))
-    eps = draw(st.floats(0.01, 0.3))
-    xi = draw(st.one_of(st.just(eps), st.floats(0.01, 0.45)))
+    xi = draw(st.floats(0.01, 0.45))
+    eps = draw(st.one_of(
+        st.floats(0.01, 0.3), st.just(xi),
+        st.integers(1, 2 * dv + 1).map(
+            lambda c: _eps_for_weight(q, xi, c / 2))))
     return (code, np.array(mu, dtype=np.int32), np.array(y, dtype=np.int32),
             eps, xi)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(_vote_cases())
 def test_vn_update_and_decision_match_scoreboard(case):
     code, mu, y, eps, xi = case
@@ -387,7 +393,7 @@ def test_vn_update_and_decision_match_scoreboard(case):
     node_ties = [len(b.tie_set()) > 1 for b in boards]
     _, ties = vn_update(code, mu, y, eps, xi, _FixedUniform(0.0))
     assert ties == sum(edge_ties)
-    _, ties = _decision(code, mu, y, eps, xi, _FixedUniform(0.0))
+    _, ties = _decision(code, mu, y, eps, xi, np.zeros(n))
     assert ties == sum(node_ties)
     # u in slice i of s equal slices picks entry i of a size-s tie set.
     # Sweeping every size s <= dv + 1 lists each oracle tie set in order
@@ -399,7 +405,7 @@ def test_vn_update_and_decision_match_scoreboard(case):
             out, _ = vn_update(code, mu, y, eps, xi, _FixedUniform(u))
             assert out.tolist() == [b.argmax(u, drop_slot=j)
                                     for b in boards for j in range(dv)]
-            dec, _ = _decision(code, mu, y, eps, xi, _FixedUniform(u))
+            dec, _ = _decision(code, mu, y, eps, xi, np.full(n, u))
             assert dec.tolist() == [b.argmax(u) for b in boards]
 
 
@@ -451,7 +457,7 @@ def test_near_integral_weight_ties_as_in_density_evolution():
     # votes (2, 2, 3) with y = 3: 2 and 3 both score 2 at the decision
     mu = np.tile(np.array([2, 2, 3], dtype=np.int32), n)
     _, ties = _decision(code, mu, np.full(n, 3, dtype=np.int32), eps, xi,
-                        _FixedUniform(0.0))
+                        np.zeros(n))
     assert ties == n
     assert vn_step_exact(xi, eps, 3, q) == pytest.approx(
         _scoreboard_step(xi, eps, 3, q), abs=1e-12)
@@ -474,7 +480,7 @@ def test_vanishing_weight_lets_channel_symbol_win():
         # votes (1, 2, 3) with y = 1: 1 wins the decision outright
         mu = np.tile(np.array([1, 2, 3], dtype=np.int32), n)
         dec, ties = _decision(code, mu, np.full(n, 1, dtype=np.int32), eps,
-                              xi, _FixedUniform(0.99))
+                              xi, np.full(n, 0.99))
         assert ties == 0
         assert dec.tolist() == [1] * n
     assert vn_step_exact(0.01, eps, 3, q) == pytest.approx(
@@ -562,6 +568,76 @@ def test_decode_matches_scalar_reference_pipeline():
     assert res.tie_events == tuple(ties)
 
 
+def _stepwise_decode(code, y, eps, schedule, l_max, seed):
+    """decode without its early exit: every update of every iteration.
+
+    Also lists, with their tie counts, the iterations at or past the end
+    of the schedule whose messages repeat the previous ones.
+    """
+    gen = np.random.default_rng(seed)
+    mu_vc = y[code.edge_vn]
+    ties, repeats = [], []
+    for it in range(1, l_max):
+        sent, t = vn_update(code, cn_update(code, mu_vc), y, eps,
+                            schedule.value_at(it), gen)
+        ties.append(t)
+        if it >= len(schedule.xi_values) and np.array_equal(sent, mu_vc):
+            repeats.append((it, t))
+        mu_vc = sent
+    decided, t = _decision(code, cn_update(code, mu_vc), y, eps,
+                           schedule.value_at(l_max), gen.random(code.n))
+    ties.append(t)
+    return decided, tuple(ties), repeats
+
+
+@pytest.mark.parametrize("m, n, code_seed, eps, xi_values, l_max, frame", [
+    # (3,6) GF(4) below threshold: the frame decodes to the codeword
+    pytest.param(2, 1200, 47, 0.06, None, 46, 0, id="converged"),
+    # (3,6) GF(256) above threshold: a fixed point with symbol errors
+    pytest.param(8, 480, 1, 0.15, None, 100, 4, id="stalled"),
+    # (3,6) GF(2) at w = 1: the messages repeat without a tie from
+    # iteration 9 on, but one node's decision ties, so no exit
+    pytest.param(1, 72, 17, 0.1, (0.1,), 30, 12, id="decision-tie"),
+])
+def test_decode_early_exit_matches_every_iteration(m, n, code_seed, eps,
+                                                   xi_values, l_max,
+                                                   frame):
+    field = build_field(m)
+    code = sample_code(n, 3, 6, field, seed=code_seed)
+    sched = XiSchedule(xi_values) if xi_values \
+        else XiSchedule.from_trace(de_run(3, 6, field.q, eps, l_max=l_max))
+    y = transmit(np.zeros(n, dtype=np.int32), ChannelParams(field, eps),
+                 np.random.default_rng(frame))
+    res = decode(code, y, eps, sched, l_max, rng=frame + 1000)
+    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max,
+                                              frame + 1000)
+    assert np.array_equal(res.decided, decided)
+    assert res.tie_events == ties
+    fixed = [it for it, t in repeats if t == 0]
+    assert fixed, "the frame reaches a tie-free message fixed point"
+    if ties[-1]:
+        assert res.iterations == l_max
+    else:
+        assert res.iterations == fixed[0] < l_max
+        assert (np.count_nonzero(decided) == 0) == (eps < 0.1)
+
+
+def test_decode_does_not_exit_on_repeated_tied_messages():
+    # GF(2) at w = 1 with one flipped symbol: its node and each of its
+    # neighbours tie, and with rng 28 iteration 1 draws the channel word
+    # again; iteration 2 sees the same ties, so stopping would be wrong
+    code = sample_code(12, 2, 3, F2, seed=1)
+    y = np.zeros(12, dtype=np.int32)
+    y[0] = 1
+    sched = XiSchedule([0.1])
+    res = decode(code, y, 0.1, sched, 10, rng=28)
+    decided, ties, repeats = _stepwise_decode(code, y, 0.1, sched, 10, 28)
+    assert repeats[0] == (1, ties[0]) and ties[0] > 0
+    assert np.array_equal(res.decided, decided)
+    assert res.tie_events == ties
+    assert res.iterations > 1
+
+
 def test_decode_coset_symmetry_is_exact():
     code = sample_code(30, 3, 6, F4, seed=53)
     c = find_nonzero_codeword(code)
@@ -595,6 +671,13 @@ def test_decode_rejects_epsilon_at_channel_ceiling():
     with pytest.raises(ValueError):
         decode(code, y, 0.75, sched, 5, rng=0)
     decode(code, y, 0.75 - 1e-9, sched, 5, rng=0)
+
+
+def test_decoder_refuses_degrees_beyond_its_tables():
+    code = sample_code(18, 8, 9, F2, seed=1)
+    y = np.zeros(18, dtype=np.int32)
+    with pytest.raises(ValueError, match="degrees up to 7, got 8"):
+        decode(code, y, 0.1, XiSchedule([0.1]), 3, rng=0)
 
 
 def test_decode_validates_input_length():
