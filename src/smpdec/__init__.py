@@ -3,8 +3,8 @@
 The package covers the full pipeline for the q-ary symmetric channel (QSC):
 
 * ``galois``: arithmetic over GF(2^m) via exp/log tables.
-* ``code``: sampling, validation and serialization of labeled regular
-  Tanner graphs.
+* ``code``: sampling and validation of labeled regular Tanner graphs,
+  and writing them as text.
 * ``channel``: QSC model, capacity, log-likelihood weights, Shannon limits.
 * ``smp``: the symbol message passing decoder.
 * ``de``: density evolution, exact and via efficient upper/lower bounds.

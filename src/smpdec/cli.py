@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .analysis import table_report
 from .channel import capacity, shannon_limit
-from .code import sample_code, save_code
+from .code import check_degrees, sample_code, save_code
 from .de import de_run
 from .galois import build_field
 from .montecarlo import StopRule, simulate
@@ -96,6 +96,7 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 
 
 def _cmd_shannon(args: argparse.Namespace) -> str:
+    check_degrees(args.dv, args.dc)
     rate = 1.0 - args.dv / args.dc
     rows = []
     for q in _int_list(args.q):

@@ -30,8 +30,8 @@ class CodeGraph:
     VN v through its slot-th socket, so ``edge_vn`` and ``m_checks`` are
     fixed by (n, dv, dc) and derived, not stored.
     The graph is simple: no VN has two edges to the same CN, whether it
-    was sampled or loaded. Instances are treated as immutable after
-    construction.
+    was sampled or built directly. Instances are treated as immutable
+    after construction.
 
     Attributes
     ----------
@@ -191,51 +191,3 @@ def save_code(code: CodeGraph, sink: TextIO) -> None:
         pairs = " ".join(f"{cn[e] + 1}:{labels[e]}"
                          for e in range(base, base + code.dv))
         sink.write(pairs + "\n")
-
-
-def load_code(source: TextIO, field: FieldSpec) -> CodeGraph:
-    """Read a graph in the labeled-alist text format.
-
-    Leading lines starting with ``#`` are skipped, so files may carry
-    provenance comments ahead of the header.
-
-    Raises
-    ------
-    ValueError
-        On malformed input, any degree/label violation or a parallel edge.
-    """
-    line = source.readline()
-    while line.startswith("#"):
-        line = source.readline()
-    header = line.split()
-    if len(header) != 5:
-        raise ValueError("header must be 'n m_checks dv dc q'")
-    try:
-        n, m_checks, dv, dc, q = (int(tok) for tok in header)
-    except ValueError as exc:
-        raise ValueError(f"malformed header: {exc}") from None
-    if q != field.q:
-        raise ValueError(f"file is over GF({q}), expected GF({field.q})")
-    if n * dv != m_checks * dc:
-        raise ValueError("header violates n*dv = m_checks*dc")
-
-    edge_cn = np.empty(n * dv, dtype=np.int64)
-    edge_label = np.empty(n * dv, dtype=np.int32)
-    for v in range(n):
-        tokens = source.readline().split()
-        if len(tokens) != dv:
-            raise ValueError(f"VN {v} has {len(tokens)} edges, expected {dv}")
-        for slot, tok in enumerate(tokens):
-            try:
-                cn_str, label_str = tok.split(":")
-                cn, label = int(cn_str), int(label_str)
-            except ValueError:
-                raise ValueError(f"malformed edge token {tok!r} at VN {v}") from None
-            if not 1 <= cn <= m_checks:
-                raise ValueError(f"CN index {cn} out of range at VN {v}")
-            if not 1 <= label < q:
-                raise ValueError(f"label {label} out of range at VN {v}")
-            edge_cn[v * dv + slot] = cn - 1
-            edge_label[v * dv + slot] = label
-    return CodeGraph(n=n, dv=dv, dc=dc, field=field,
-                     edge_cn=edge_cn, edge_label=edge_label)

@@ -128,6 +128,8 @@ def cn_step(p0: float, dc: int, q: int) -> float:
     with g = (q p0 - 1) / (q - 1). A wrong vote is uniform over the
     q - 1 wrong symbols.
     """
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
     if dc < 2:
         raise ValueError(f"dc must be at least 2, got {dc}")
     if not 0.0 <= p0 <= 1.0:
@@ -245,16 +247,15 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     The walk runs over the vote counts of the sent and the observed
     symbol. At each event the sent symbol and c - 1 other named symbols
     share the score t, while k further cells share s votes.
-    ``tie_pay(k, s, t, c, n_max)`` returns (lower, upper) bounds on the
-    chance that the sent symbol is picked: no such cell may exceed t,
-    and a tie is broken uniformly over an argmax of at most n_max
-    symbols. Only this payout differs between the exact and bounded
-    steps.
+    ``tie_pay(k, s, t, c)`` returns (lower, upper) bounds on the chance
+    that the sent symbol is picked: no such cell may exceed t, and a tie
+    is broken uniformly over the argmax. Only this payout differs
+    between the exact and bounded steps.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
     if dv < 2:
-        raise ValueError(f"dv must be at least 2, got {dv}")
+        raise ValueError(f"variable node degree must be at least 2, got {dv}")
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must be in [0, 1], got {xi}")
     check_epsilon(q, epsilon)
@@ -280,7 +281,7 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
             up += pf * win
         else:
             t = f0 + w_floor
-            p_lo, p_up = tie_pay(k, s, t, 1, 1 + min(s // t, k))
+            p_lo, p_up = tie_pay(k, s, t, 1)
             lo += pf * p_lo
             up += pf * p_up
 
@@ -300,17 +301,15 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
                 continue
             # the sent symbol must also beat the q - 2 remaining cells
             s = rem - f0
-            p_lo, p_up = tie_pay(k - 1, s, f0, 1, 1 + min(s // f0, k - 1))
+            p_lo, p_up = tie_pay(k - 1, s, f0, 1)
             lo += pf0 * p_lo
             up += pf0 * p_up
         if tie and f1 + w_floor <= rem:
             a1 = f1 + w_floor
             pf0 = _binom_pmf(a1, rem, pc) * pf1
             if pf0 > 0.0:
-                # sent symbol ties the observed one; both join the argmax,
-                # and at most s_tot // a1 cells hold a1 votes
-                p_lo, p_up = tie_pay(k - 1, rem - a1, a1, 2,
-                                     1 + min(s_tot // a1, k))
+                # sent symbol ties the observed one; both join the argmax
+                p_lo, p_up = tie_pay(k - 1, rem - a1, a1, 2)
                 lo += pf0 * p_lo
                 up += pf0 * p_up
 
@@ -318,18 +317,21 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     return min(lo, 1.0), min(up, 1.0)
 
 
-def _exact_tie_pay(k: int, s: int, t: int, c: int,
-                   n_max: int) -> tuple[float, float]:
+def _exact_tie_pay(k: int, s: int, t: int, c: int) -> tuple[float, float]:
     """Expected 1/(argmax size) over the number r of cells also at t."""
     dist = multinomial_max_eq_count_dist(k, s, t)
     win = sum(p / (c + r) for r, p in enumerate(dist))
     return win, win
 
 
-def _bounded_tie_pay(k: int, s: int, t: int, c: int,
-                     n_max: int) -> tuple[float, float]:
-    """1/(argmax size) bounded by 1/n_max and 1/(c + 1) once a cell ties."""
+def _bounded_tie_pay(k: int, s: int, t: int, c: int) -> tuple[float, float]:
+    """1/(argmax size) bounded by 1/n_max and 1/(c + 1) once a cell ties.
+
+    At most n_max = c + min(s // t, k) symbols share the maximum: the
+    s balls fill at most s // t of the k cells to t.
+    """
     p_lt, p_eq = _max_lt_eq(k, s, t)
+    n_max = c + min(s // t, k)
     return p_lt / c + p_eq / n_max, p_lt / c + p_eq / (c + 1)
 
 

@@ -65,29 +65,6 @@ class FieldSpec:
     exp_table: np.ndarray = field(repr=False)
     log_table: np.ndarray = field(repr=False)
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition: bitwise XOR in characteristic 2."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        """Field multiplication via the log/exp tables."""
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b]))
-                                  % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero element.
-
-        Raises
-        ------
-        ValueError
-            If a is zero.
-        """
-        if a == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        return int(self.exp_table[(self.q - 1 - int(self.log_table[a])) % (self.q - 1)])
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two symbol arrays.
 

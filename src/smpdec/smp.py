@@ -261,11 +261,14 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     Generator passed as rng is left in a different state, having made
     none of the skipped iterations' draws.
     """
-    y = np.asarray(y, dtype=np.int32)
+    y = np.asarray(y)
     if y.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"received symbols must be integers, got {y.dtype}")
     if y.min() < 0 or y.max() >= code.field.q:
         raise ValueError("received symbols outside the field")
+    y = y.astype(np.int32, copy=False)
     check_epsilon(code.field.q, epsilon)
     if l_max < 1:
         raise ValueError(f"l_max must be positive, got {l_max}")

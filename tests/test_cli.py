@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import smpdec
+from oracles import labeled_alist
 from smpdec import __version__
 from smpdec.channel import capacity, shannon_limit
 from smpdec.cli import main
-from smpdec.code import load_code
+from smpdec.code import sample_code
 from smpdec.galois import build_field
 
 
@@ -130,16 +131,17 @@ def test_runtime_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_codegen_round_trip(tmp_path):
+def test_codegen_writes_labeled_alist(tmp_path):
     out = tmp_path / "code.txt"
     rc = main(["codegen", "--n", "60", "--dv", "3", "--dc", "6",
                "--q", "4", "--seed", "1", "--out", str(out)])
     assert rc == 0
-    text = out.read_text()
-    assert text.startswith("# smpdec")
-    with open(out) as fh:
-        code = load_code(fh, build_field(2))
-    assert code.n == 60 and code.dv == 3 and code.dc == 6
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[0] == f"# smpdec {__version__}\n"
+    config = json.loads(lines[1].removeprefix("# config: "))
+    assert config["command"] == "codegen"
+    code = sample_code(60, 3, 6, build_field(2), seed=1)
+    assert "".join(lines[2:]) == labeled_alist(code)
 
 
 def test_rejects_non_power_of_two_field(capsys):
@@ -221,6 +223,7 @@ def test_degrees_are_refused_with_one_message(capsys):
     # threshold refuses before its first density-evolution run
     for argv in (["de", "--dv", "3", "--dc", "2", "--q", "4", "--eps", "0.05"],
                  ["de", "--dv", "3", "--dc", "3", "--q", "4", "--eps", "0.05"],
+                 ["shannon", "--dv", "3", "--dc", "3", "--q", "2"],
                  ["threshold", "--dv", "3", "--dc", "3", "--q", "64"],
                  ["simulate", "--dv", "3", "--dc", "3", "--q", "4",
                   "--n", "120", "--eps", "0.1"],
@@ -232,6 +235,15 @@ def test_degrees_are_refused_with_one_message(capsys):
         dc = argv[argv.index("--dc") + 1]
         assert "check node degree must exceed variable node degree, " \
             f"got dv=3, dc={dc}" in captured.err, argv
+        assert captured.out == "", argv
+    for argv in (["de", "--eps", "0.05"], ["shannon"], ["threshold"],
+                 ["simulate", "--n", "60", "--eps", "0.1"],
+                 ["codegen", "--n", "60"]):
+        rc = main(argv + ["--dv", "1", "--dc", "3", "--q", "2"])
+        assert rc == 1, argv
+        captured = capsys.readouterr()
+        assert "variable node degree must be at least 2, got 1" \
+            in captured.err, argv
         assert captured.out == "", argv
 
 

@@ -1,4 +1,4 @@
-"""Tests for Tanner graph sampling, validation and serialization."""
+"""Tests for Tanner graph sampling, validation and writing as text."""
 
 import io
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from oracles import labeled_alist
 from smpdec.galois import build_field
-from smpdec.code import CodeGraph, load_code, sample_code, save_code
+from smpdec.code import CodeGraph, sample_code, save_code
 
 
 F4 = build_field(2)
@@ -84,107 +85,15 @@ def test_labels_uniform():
 
 
 # ----------------------------------------------------------------------
-# Serialization
+# Writing as text
 # ----------------------------------------------------------------------
 
-def test_save_load_round_trip():
-    code = sample_code(20, 3, 6, F8, seed=3)
-    buf = io.StringIO()
-    save_code(code, buf)
-    loaded = load_code(io.StringIO(buf.getvalue()), F8)
-    assert loaded.n == code.n
-    assert loaded.m_checks == code.m_checks
-    assert loaded.dv == code.dv and loaded.dc == code.dc
-    assert np.array_equal(loaded.edge_vn, code.edge_vn)
-    assert np.array_equal(loaded.edge_cn, code.edge_cn)
-    assert np.array_equal(loaded.edge_label, code.edge_label)
-
-
-def test_load_skips_leading_comment_lines():
-    code = sample_code(20, 3, 6, F8, seed=3)
-    buf = io.StringIO()
-    save_code(code, buf)
-    commented = "# tool x.y\n# config: {}\n" + buf.getvalue()
-    loaded = load_code(io.StringIO(commented), F8)
-    assert np.array_equal(loaded.edge_label, code.edge_label)
-
-
-def test_save_load_file_round_trip(tmp_path):
-    code = sample_code(10, 2, 4, F4, seed=9)
-    path = tmp_path / "code.txt"
-    with open(path, "w") as fh:
-        save_code(code, fh)
-    with open(path) as fh:
-        loaded = load_code(fh, F4)
-    assert np.array_equal(loaded.edge_label, code.edge_label)
-
-
-def _lines_for(code):
-    buf = io.StringIO()
-    save_code(code, buf)
-    return buf.getvalue().splitlines()
-
-
-def test_load_rejects_zero_label():
-    code = sample_code(10, 2, 4, F4, seed=1)
-    lines = _lines_for(code)
-    first = lines[1].split()
-    first[0] = first[0].split(":")[0] + ":0"
-    lines[1] = " ".join(first)
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("\n".join(lines) + "\n"), F4)
-
-
-def test_load_rejects_wrong_vn_degree():
-    code = sample_code(10, 2, 4, F4, seed=1)
-    lines = _lines_for(code)
-    lines[1] = lines[1].split()[0]  # drop one edge from VN 0
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("\n".join(lines) + "\n"), F4)
-
-
-def test_load_rejects_wrong_cn_degree():
-    # swap one CN index to break CN regularity while keeping VN degrees
-    code = sample_code(10, 2, 4, F4, seed=1)
-    lines = _lines_for(code)
-    fields = lines[1].split()
-    cn, label = fields[0].split(":")
-    other = "1" if cn != "1" else "2"
-    fields[0] = f"{other}:{label}"
-    lines[1] = " ".join(fields)
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("\n".join(lines) + "\n"), F4)
-
-
-def test_load_rejects_field_mismatch():
-    code = sample_code(10, 2, 4, F4, seed=1)
-    buf = io.StringIO()
-    save_code(code, buf)
-    with pytest.raises(ValueError):
-        load_code(io.StringIO(buf.getvalue()), F8)
-
-
-def test_load_rejects_malformed_header():
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("10 5 2\n"), F4)
-
-
-def test_load_rejects_out_of_range_cn():
-    code = sample_code(10, 2, 4, F4, seed=1)
-    lines = _lines_for(code)
-    fields = lines[1].split()
-    label = fields[0].split(":")[1]
-    fields[0] = f"99:{label}"
-    lines[1] = " ".join(fields)
-    with pytest.raises(ValueError):
-        load_code(io.StringIO("\n".join(lines) + "\n"), F4)
-
-
-def test_load_rejects_parallel_edges():
-    # every degree and label is valid, but each VN meets CN 1 twice
-    text = "2 1 2 4 4\n1:1 1:2\n1:3 1:1\n"
-    with pytest.raises(ValueError, match="same CN"):
-        load_code(io.StringIO(text), F4)
+def test_save_code_writes_labeled_alist():
+    for code in (sample_code(20, 3, 6, F8, seed=3),
+                 sample_code(10, 2, 4, F4, seed=9)):
+        buf = io.StringIO()
+        save_code(code, buf)
+        assert buf.getvalue() == labeled_alist(code)
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +110,20 @@ def test_codegraph_validates_invariants():
 
     bad = labels.copy()
     bad[0] = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero field elements"):
         CodeGraph(n=3, dv=2, dc=3, field=F4,
                   edge_cn=edge_cn, edge_label=bad)
+
+    # one edge too few
+    with pytest.raises(ValueError, match="length n\\*dv"):
+        CodeGraph(n=3, dv=2, dc=3, field=F4,
+                  edge_cn=edge_cn[:-1], edge_label=labels[:-1])
+
+    # VN degrees hold, but CN 0 gets four edges and CN 1 two
+    uneven = np.array([0, 1, 0, 1, 0, 0], dtype=np.int64)
+    with pytest.raises(ValueError, match="degree dc"):
+        CodeGraph(n=3, dv=2, dc=3, field=F4,
+                  edge_cn=uneven, edge_label=labels)
 
     # n*dv = 6 sockets cannot fill checks of degree 4
     with pytest.raises(ValueError, match="not divisible"):

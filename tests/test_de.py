@@ -12,7 +12,7 @@ import math
 import pytest
 
 from smpdec.channel import weight_D
-from smpdec.de import (cn_step, de_run, multinomial_max_cdf,
+from smpdec.de import (_xi_bounds, cn_step, de_run, multinomial_max_cdf,
                        multinomial_max_eq_count_dist, vn_step_bounded,
                        vn_step_exact)
 
@@ -212,6 +212,18 @@ def test_cn_step_matches_closed_form():
         assert cn_step(p0, dc, q) == pytest.approx(closed, abs=1e-12)
 
 
+def test_xi_bounds_enclose_cn_step_across_g_zero():
+    # odd dc: omega0 is an even power of g = (q p0 - 1)/(q - 1), so on a
+    # p0 interval with q p_lo < 1 < q p_up its minimum 1/q lies inside
+    for dc, q, p_lo, p_up in [(5, 4, 0.1, 0.6), (7, 8, 0.05, 0.3),
+                              (3, 64, 0.001, 0.9)]:
+        xi_lo, xi_up = _xi_bounds(p_lo, p_up, dc, q)
+        assert xi_up == 1.0 - 1.0 / q
+        scan = [1.0 - cn_step(p_lo + (p_up - p_lo) * i / 2000, dc, q)
+                for i in range(2001)]
+        assert xi_lo <= min(scan) and max(scan) <= xi_up, (dc, q)
+
+
 # ----------------------------------------------------------------------
 # multinomial maximum
 # ----------------------------------------------------------------------
@@ -353,8 +365,10 @@ def test_vn_bounded_tight_for_dv3_generic_weights():
 
 def test_vn_bounded_integral_weight_sandwich():
     xi = 0.3
-    for dv, q in [(4, 4), (5, 8), (6, 4)]:
-        eps = solve_eps_for_integral_w(xi, q, 2)
+    # at dv = 7 and w = 1 the sent symbol can tie the observed one while
+    # a further cell ties too
+    for dv, q, w in [(4, 4, 2), (5, 8, 2), (6, 4, 2), (7, 4, 1), (7, 16, 1)]:
+        eps = solve_eps_for_integral_w(xi, q, w)
         exact = vn_step_exact(xi, eps, dv, q)
         bound = vn_step_bounded(xi, eps, dv, q)
         assert bound.lower <= exact + 1e-10
@@ -435,3 +449,10 @@ def test_de_run_validates_inputs():
     for dc in (2, 3):
         with pytest.raises(ValueError, match="check node degree must exceed"):
             de_run(3, dc, 4, 0.05)
+    for q in (1, 0):
+        with pytest.raises(ValueError, match=f"q must be at least 2, got {q}"):
+            cn_step(0.9, 6, q)
+    for step in (vn_step_exact, vn_step_bounded):
+        with pytest.raises(ValueError, match="variable node degree must be "
+                                             "at least 2, got 1"):
+            step(0.1, 0.05, 1, 4)

@@ -1,9 +1,9 @@
 """Tests for the symbol message passing decoder.
 
 The vectorized decoder is checked against scalar reference code built
-here from ScoreBoard and naive per-edge check sums, sharing nothing with
-the implementation except the documented RNG draw order and the channel
-weight from weight_ratio.
+here from ScoreBoard and naive per-edge check sums over carry-less field
+arithmetic (``oracles``), sharing nothing with the implementation except
+the documented RNG draw order and the channel weight from weight_ratio.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gf_inv, gf_mul
 from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import de_run, vn_step_exact
@@ -85,9 +86,8 @@ def naive_cn_update(code, mu_vc):
             acc = 0
             for e2 in edges:
                 if e2 != e:
-                    acc = f.add(acc, f.mul(int(code.edge_label[e2]),
-                                           int(mu_vc[e2])))
-            out[e] = f.mul(f.inv(int(code.edge_label[e])), acc)
+                    acc ^= gf_mul(f, int(code.edge_label[e2]), int(mu_vc[e2]))
+            out[e] = gf_mul(f, gf_inv(f, int(code.edge_label[e])), acc)
     return out
 
 
@@ -105,12 +105,12 @@ def find_nonzero_codeword(code):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][col])
-        rows[r] = [f.mul(inv, v) if v else 0 for v in rows[r]]
+        inv = gf_inv(f, rows[r][col])
+        rows[r] = [gf_mul(f, inv, v) for v in rows[r]]
         for i in range(m):
             if i != r and rows[i][col]:
                 fac = rows[i][col]
-                rows[i] = [f.add(a, f.mul(fac, b)) if b else a
+                rows[i] = [a ^ gf_mul(f, fac, b)
                            for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
@@ -126,8 +126,7 @@ def find_nonzero_codeword(code):
         acc = 0
         for e in range(len(code.edge_vn)):
             if code.edge_cn[e] == row:
-                acc = f.add(acc, f.mul(int(code.edge_label[e]),
-                                       x[code.edge_vn[e]]))
+                acc ^= gf_mul(f, int(code.edge_label[e]), x[code.edge_vn[e]])
         assert acc == 0
     assert any(x)
     return np.array(x, dtype=np.int32)
@@ -685,3 +684,10 @@ def test_decode_validates_input_length():
     sched = XiSchedule([0.2])
     with pytest.raises(ValueError):
         decode(code, np.zeros(11, dtype=np.int32), 0.1, sched, 5, rng=0)
+    # 2**32 + 1 would wrap to symbol 1 in int32, and 0.7 truncate to 0
+    y = np.zeros(12, dtype=np.int64)
+    y[3] = 2 ** 32 + 1
+    with pytest.raises(ValueError, match="outside the field"):
+        decode(code, y, 0.1, sched, 5, rng=0)
+    with pytest.raises(ValueError, match="must be integers, got float64"):
+        decode(code, np.full(12, 0.7), 0.1, sched, 5, rng=0)
