@@ -177,6 +177,10 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     ``u`` has one uniform draw per selected row. Of a tie set of size s,
     entry min(floor(u * s), s - 1) in slot order is returned; without a
     tie that is the first tied slot, so only ties read their draws.
+    The winners are gathered from the flattened candidate array through
+    one intp index array, each node's row offset plus its winning slot,
+    into which the tied picks are written; an int32 index would be cast
+    to a second, intp copy by the gather.
     """
     n, dv = code.n, code.dv
     cand = np.empty((n, dv + 1), dtype=np.int32)
@@ -186,13 +190,15 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     table = _pattern_table(dv, _weight_class(w, dv))
     entry = table.take(_pattern_key(cand), axis=0)[:, rows]
     ntied = entry[:, :, 0]
-    slot = entry[:, :, 1].copy()
+    index = entry[:, :, 1] + np.arange(0, cand.size, dv + 1)[:, None]
     tied = np.flatnonzero(ntied > 1)
-    v, r = np.divmod(tied, ntied.shape[1])
-    s = ntied[v, r]
-    pick = np.minimum((u[v, r] * s).astype(np.int64), s - 1)
-    slot[v, r] = entry[v, r, 1 + pick]
-    return np.take_along_axis(cand, slot, axis=1), tied.size
+    if tied.size:
+        v, r = np.divmod(tied, ntied.shape[1])
+        s = ntied[v, r]
+        pick = np.minimum((u[v, r] * s).astype(np.int64), s - 1)
+        index[v, r] = entry[v, r, 1 + pick] + v * (dv + 1)
+    del entry, ntied  # freed before the output is allocated: a lower peak
+    return cand.reshape(-1).take(index), tied.size
 
 
 def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,

@@ -173,8 +173,9 @@ def test_mul_exhaustive_against_oracle(m):
 
 
 def test_mul_vec_matches_scalar():
+    # m = 9 is the first field multiplied through the log tables
     rng = np.random.default_rng(7)
-    for m in (10, 16):
+    for m in (9, 10, 16):
         f = build_field(m)
         a = rng.integers(1, f.q, size=100_000)  # nonzero, as for edge labels
         b = rng.integers(0, f.q, size=100_000)

@@ -251,11 +251,15 @@ def test_cn_update_codeword_reproduces_excluded_symbol():
 
 
 def test_cn_update_matches_naive_oracle():
+    # GF(8) and GF(256) multiply through the product table, GF(512)
+    # through the log tables
     rng = np.random.default_rng(31)
-    code = sample_code(12, 3, 4, F8, seed=7)
-    for _ in range(50):
-        mu = rng.integers(0, 8, size=36).astype(np.int32)
-        assert np.array_equal(cn_update(code, mu), naive_cn_update(code, mu))
+    for field in (F8, build_field(8), build_field(9)):
+        code = sample_code(12, 3, 4, field, seed=7)
+        for _ in range(50):
+            mu = rng.integers(0, field.q, size=36).astype(np.int32)
+            assert np.array_equal(cn_update(code, mu),
+                                  naive_cn_update(code, mu)), field.q
 
 
 # ----------------------------------------------------------------------
@@ -597,6 +601,8 @@ def _stepwise_decode(code, y, eps, schedule, l_max, seed):
     # (3,6) GF(2) at w = 1: the messages repeat without a tie from
     # iteration 9 on, but one node's decision ties, so no exit
     pytest.param(1, 72, 17, 0.1, (0.1,), 30, 12, id="decision-tie"),
+    # (3,6) GF(512), past the product-table cut, below threshold
+    pytest.param(9, 240, 1, 0.06, None, 40, 0, id="gf512"),
 ])
 def test_decode_early_exit_matches_every_iteration(m, n, code_seed, eps,
                                                    xi_values, l_max,
