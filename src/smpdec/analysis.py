@@ -92,29 +92,27 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
     )
 
 
-def table_report(ensembles: Sequence[tuple[int, int]],
-                 q_values: Sequence[int], mode: str | None = None,
-                 bisect_tol: float = 1e-4,
+def table_report(dv: int, dc: int, q_values: Sequence[int],
+                 mode: str | None = None, bisect_tol: float = 1e-4,
                  l_max: int = 2000) -> list[dict]:
-    """Threshold table rows for each (dv, dc) x q cell.
+    """Threshold table rows of the (dv, dc) ensemble, one per field order.
 
     Each row carries the threshold bracket plus the Shannon limit of
-    the q-ary symmetric channel at the ensemble design rate 1 - dv/dc.
-    Rows follow the input order: ensembles outermost, field orders
-    innermost.
+    the q-ary symmetric channel at the ensemble design rate 1 - dv/dc,
+    in the order of ``q_values``.
     """
+    # looked up per call so that a wrapper on channel.shannon_limit sees it
     from .channel import shannon_limit
 
     rows: list[dict] = []
-    for dv, dc in ensembles:
-        rate = 1.0 - dv / dc
-        for q in q_values:
-            res = find_threshold(dv, dc, q, mode=mode,
-                                 bisect_tol=bisect_tol, l_max=l_max)
-            rows.append({
-                "dv": dv, "dc": dc, "q": q,
-                "eps_star_lower": res.eps_star_lower,
-                "eps_star_upper": res.eps_star_upper,
-                "eps_shannon": shannon_limit(q, rate),
-            })
+    for q in q_values:
+        res = find_threshold(dv, dc, q, mode=mode, bisect_tol=bisect_tol,
+                             l_max=l_max)
+        rows.append({
+            "dv": dv, "dc": dc, "q": q,
+            "eps_star_lower": res.eps_star_lower,
+            "eps_star_upper": res.eps_star_upper,
+            # after find_threshold, whose first run refuses bad degrees
+            "eps_shannon": shannon_limit(q, 1.0 - dv / dc),
+        })
     return rows

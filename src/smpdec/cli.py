@@ -58,8 +58,12 @@ def _tokens(text: str) -> list[str]:
     return tokens
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in _tokens(text)]
+def _field_orders(text: str) -> list[int]:
+    """Entries of a comma-separated list, each checked by _field_order."""
+    orders = [int(tok) for tok in _tokens(text)]
+    for q in orders:
+        _field_order(q)
+    return orders
 
 
 def _float_list(text: str) -> list[float]:
@@ -98,11 +102,8 @@ def _cmd_capacity(args: argparse.Namespace) -> str:
 def _cmd_shannon(args: argparse.Namespace) -> str:
     check_degrees(args.dv, args.dc)
     rate = 1.0 - args.dv / args.dc
-    rows = []
-    for q in _int_list(args.q):
-        _field_order(q)
-        rows.append({"q": q, "rate": rate,
-                     "eps_shannon": shannon_limit(q, rate)})
+    rows = [{"q": q, "rate": rate, "eps_shannon": shannon_limit(q, rate)}
+            for q in _field_orders(args.q)]
     return _render(_config_for(args), args.format, rows,
                    ("q", "rate", "eps_shannon"))
 
@@ -122,10 +123,7 @@ def _cmd_de(args: argparse.Namespace) -> str:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> str:
-    q_values = _int_list(args.q)
-    for q in q_values:
-        _field_order(q)
-    rows = table_report([(args.dv, args.dc)], q_values,
+    rows = table_report(args.dv, args.dc, _field_orders(args.q),
                         mode=args.mode, bisect_tol=args.tol,
                         l_max=args.iters)
     return _render(_config_for(args), args.format, rows, TABLE_COLUMNS)
@@ -200,6 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="write output to this file instead of stdout")
 
+    def add_ensemble_flags(p: argparse.ArgumentParser, **q_options) -> None:
+        p.add_argument("--dv", type=int, required=True)
+        p.add_argument("--dc", type=int, required=True)
+        p.add_argument("--q", required=True, **q_options)
+
     def add_mode_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mode", choices=("exact", "bounded"),
                        help="default: exact for q = 2, bounded otherwise")
@@ -213,18 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shannon", help="Shannon limit of the QSC at the "
                                        "(dv, dc) design rate")
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--q", required=True,
-                   help="field order, or comma-separated list")
+    add_ensemble_flags(p, help="field order, or comma-separated list")
     add_output_flags(p)
     p.set_defaults(func=_cmd_shannon)
 
     p = sub.add_parser("de", help="density evolution trajectory at one "
                                   "operating point")
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    add_ensemble_flags(p, type=int)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--iters", type=int, default=2000,
                    help="iteration cap (default: 2000)")
@@ -234,10 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="decoding threshold table for one "
                                          "ensemble")
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--q", required=True,
-                   help="field order, or comma-separated list")
+    add_ensemble_flags(p, help="field order, or comma-separated list")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="bisection tolerance (default: 1e-4)")
     p.add_argument("--iters", type=int, default=2000,
@@ -248,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo error rates on a "
                                         "sampled code")
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    add_ensemble_flags(p, type=int)
     p.add_argument("--n", type=int, required=True,
                    help="codeword length")
     group = p.add_mutually_exclusive_group(required=True)
@@ -276,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codegen", help="sample a code graph and write it "
                                        "in labeled-alist format")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dv", type=int, required=True)
-    p.add_argument("--dc", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    add_ensemble_flags(p, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH",
                    help="write the graph to this file instead of stdout")

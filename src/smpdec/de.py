@@ -12,7 +12,8 @@ vote-count events and differ only in how a score tie pays out:
 * ``vn_step_bounded`` replaces that average with closed lower and upper
   bounds (q > 2); its interval is exact wherever no tie can occur.
 
-Both cost the same ball-counting work, cached across calls.
+Both walk the same events per step, with ball counts cached across
+calls, but a bounded run takes two steps per iteration, one per bound.
 
 ``de_run`` iterates either flavour and reports the full trajectory, from
 which decoder weight schedules and convergence thresholds are derived.
@@ -193,19 +194,11 @@ def multinomial_max_eq_count_dist(k: int, s: int, t: int) -> list[float]:
     total = k ** s
     out = []
     for r in range(min(k, s // t) + 1):
-        ways = math.comb(k, r) * _ball_picks(s, t, r)
-        ways *= _capped_assignments(k - r, s - r * t, t - 1)
+        # fill the r chosen cells with t balls each: s! / (t!^r (s-rt)!)
+        ways = (math.comb(k, r) * math.factorial(s)
+                * _capped_assignments(k - r, s - r * t, t - 1)
+                // (math.factorial(t) ** r * math.factorial(s - r * t)))
         out.append(ways / total)
-    return out
-
-
-def _ball_picks(s: int, t: int, r: int) -> int:
-    """Ways to choose an ordered sequence of r disjoint t-subsets of s balls."""
-    out = 1
-    left = s
-    for _ in range(r):
-        out *= math.comb(left, t)
-        left -= t
     return out
 
 
@@ -226,16 +219,6 @@ def _binom_pmf(j: int, n: int, p: float) -> float:
     return math.exp(
         math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
         + j * math.log(p) + (n - j) * math.log1p(-p))
-
-
-def _max_lt_eq(k: int, s: int, t: int) -> tuple[float, float]:
-    """(P(max < t), P(max = t)) for s balls uniform over k cells, t >= 1."""
-    if k == 0:
-        return (1.0, 0.0) if s == 0 else (0.0, 0.0)
-    total = k ** s
-    w_le = _capped_assignments(k, s, t)
-    w_lt = _capped_assignments(k, s, t - 1)
-    return w_lt / total, (w_le - w_lt) / total
 
 
 def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
@@ -328,9 +311,12 @@ def _bounded_tie_pay(k: int, s: int, t: int, c: int) -> tuple[float, float]:
     """1/(argmax size) bounded by 1/n_max and 1/(c + 1) once a cell ties.
 
     At most n_max = c + min(s // t, k) symbols share the maximum: the
-    s balls fill at most s // t of the k cells to t.
+    s balls fill at most s // t of the k cells to t; k >= 1 as q > 2.
     """
-    p_lt, p_eq = _max_lt_eq(k, s, t)
+    total = k ** s
+    w_lt = _capped_assignments(k, s, t - 1)
+    p_lt = w_lt / total
+    p_eq = (_capped_assignments(k, s, t) - w_lt) / total
     n_max = c + min(s // t, k)
     return p_lt / c + p_eq / n_max, p_lt / c + p_eq / (c + 1)
 

@@ -104,7 +104,9 @@ def _frame_errors(state: tuple, workers: int,
 
     ``state`` holds the leading arguments of ``_decode_frame``. With more
     than one worker, frames run in a process pool in waves of two per
-    worker; closing the iterator cancels the wave's unstarted frames.
+    worker: ``Executor.map`` submits every item up front, so one map
+    over ``max_frames`` would hold that many futures. Closing the
+    iterator cancels the wave's unstarted frames.
     """
     frame = partial(_decode_frame, *state)
     if workers == 1:

@@ -57,7 +57,7 @@ def test_threshold_result_validates_interval():
 
 
 def test_table_report_rows_and_shannon():
-    rows = table_report([(3, 5)], [2, 4])
+    rows = table_report(3, 5, [2, 4])
     assert len(rows) == 2
     for row, q in zip(rows, (2, 4)):
         assert row["dv"] == 3 and row["dc"] == 5 and row["q"] == q
@@ -68,7 +68,7 @@ def test_table_report_rows_and_shannon():
 
 
 def test_table_report_empty_field_list():
-    assert table_report([(3, 5)], []) == []
+    assert table_report(3, 5, []) == []
 
 
 def test_table_rows_render_as_csv():

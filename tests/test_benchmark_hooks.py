@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smpdec.channel
+from smpdec.analysis import table_report
 from smpdec.code import sample_code
 from smpdec.galois import build_field
 
@@ -40,3 +42,18 @@ def test_vn_update_returns_messages_and_ties(layers):
     messages, ties = result
     assert messages.shape == (code.n * code.dv,)
     assert isinstance(ties, int)
+
+
+def test_table_report_finds_a_wrapped_shannon_limit(monkeypatch):
+    # the grid's expected channel.shannon_limit span fires only because
+    # table_report looks the name up on smpdec.channel at call time
+    calls = []
+    shannon_limit = smpdec.channel.shannon_limit
+
+    def counting(*args):
+        calls.append(args)
+        return shannon_limit(*args)
+
+    monkeypatch.setattr(smpdec.channel, "shannon_limit", counting)
+    table_report(3, 5, [2], bisect_tol=1e-2)
+    assert calls == [(2, 1.0 - 3 / 5)]

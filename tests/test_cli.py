@@ -12,7 +12,7 @@ import smpdec
 from oracles import labeled_alist
 from smpdec import __version__
 from smpdec.channel import capacity, shannon_limit
-from smpdec.cli import main
+from smpdec.cli import DE_COLUMNS, main
 from smpdec.code import sample_code
 from smpdec.galois import build_field
 
@@ -65,6 +65,21 @@ def test_de_json_trace(tmp_path):
     assert data["results"]["records"]
 
 
+SIMULATE = ["simulate", "--dv", "3", "--dc", "6", "--q", "4", "--n", "120",
+            "--eps-grid", "0.05,0.15", "--iters", "10", "--seed", "6",
+            "--max-frames", "2"]
+
+
+def _csv_and_json(argv, capsys):
+    """CSV header, CSV rows and JSON results of one report command."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    return lines[2].split(","), [line.split(",") for line in lines[3:]], \
+        results
+
+
 def test_threshold_json_matches_table(tmp_path, capsys):
     out = tmp_path / "thr.json"
     rc = main(["threshold", "--dv", "3", "--dc", "5", "--q", "4",
@@ -82,12 +97,25 @@ def test_threshold_json_matches_table(tmp_path, capsys):
     assert lines[2] == "dv,dc,q,eps_star_lower,eps_star_upper,eps_shannon"
     assert lines[3].split(",") == [str(rows[0][col]) for col in (
         "dv", "dc", "q", "eps_star_lower", "eps_star_upper", "eps_shannon")]
+    # every other report command: its CSV rows carry the JSON results'
+    # values in column order
+    for argv in (["capacity", "--q", "4", "--eps", "0.1"],
+                 ["shannon", "--dv", "3", "--dc", "5", "--q", "2,4"],
+                 SIMULATE):
+        header, csv_rows, results = _csv_and_json(argv, capsys)
+        if isinstance(results, dict):
+            results = [results]
+        assert csv_rows == [[str(r[col]) for col in header]
+                            for r in results], argv
+    header, csv_rows, trace = _csv_and_json(
+        ["de", "--dv", "3", "--dc", "6", "--q", "4", "--eps", "0.05"], capsys)
+    assert header == list(DE_COLUMNS)
+    assert csv_rows == [[str(i), *map(str, rec["p0"] + rec["xi"])]
+                        for i, rec in enumerate(trace["records"])]
 
 
 def test_simulate_csv_grid(capsys):
-    rc = main(["simulate", "--dv", "3", "--dc", "6", "--q", "4",
-               "--n", "120", "--eps-grid", "0.05,0.15", "--iters", "10",
-               "--seed", "6", "--max-frames", "2"])
+    rc = main(SIMULATE)
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("# smpdec")
@@ -99,12 +127,21 @@ def test_simulate_csv_grid(capsys):
 def test_simulate_plot_renders_file(tmp_path):
     png = tmp_path / "waterfall.png"
     out = tmp_path / "sweep.csv"
-    rc = main(["simulate", "--dv", "3", "--dc", "6", "--q", "4",
-               "--n", "120", "--eps-grid", "0.05,0.15", "--iters", "10",
-               "--seed", "6", "--max-frames", "2",
-               "--plot", str(png), "--out", str(out)])
+    rc = main(SIMULATE + ["--plot", str(png), "--out", str(out)])
     assert rc == 0
     assert png.stat().st_size > 0
+
+
+def test_simulate_plot_without_matplotlib_is_refused(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    out = tmp_path / "sweep.csv"
+    rc = main(SIMULATE + ["--plot", str(tmp_path / "waterfall.png"),
+                          "--out", str(out)])
+    assert rc == 1
+    assert "matplotlib is required for --plot; install smpdec[plot]" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_requires_one_eps_source():
@@ -225,6 +262,7 @@ def test_degrees_are_refused_with_one_message(capsys):
                  ["de", "--dv", "3", "--dc", "3", "--q", "4", "--eps", "0.05"],
                  ["shannon", "--dv", "3", "--dc", "3", "--q", "2"],
                  ["threshold", "--dv", "3", "--dc", "3", "--q", "64"],
+                 ["threshold", "--dv", "3", "--dc", "0", "--q", "4"],
                  ["simulate", "--dv", "3", "--dc", "3", "--q", "4",
                   "--n", "120", "--eps", "0.1"],
                  ["codegen", "--n", "60", "--dv", "3", "--dc", "3",

@@ -42,6 +42,10 @@ def test_sample_code_degree_constraints():
         sample_code(10, 1, 5, F4, seed=0)
     with pytest.raises(ValueError):
         sample_code(10, 3, 3, F4, seed=0)
+    # two checks cannot give a variable node three distinct neighbours
+    with pytest.raises(ValueError, match="parallel-edge repair failed "
+                                         "after 50 attempts"):
+        sample_code(4, 3, 6, F4, seed=0)
 
 
 def test_sample_code_deterministic():

@@ -8,13 +8,14 @@ share no code with the implementation under test.
 import itertools
 import json
 import math
+import re
 
 import pytest
 
 from smpdec.channel import weight_D
-from smpdec.de import (_xi_bounds, cn_step, de_run, multinomial_max_cdf,
-                       multinomial_max_eq_count_dist, vn_step_bounded,
-                       vn_step_exact)
+from smpdec.de import (BoundedProb, _binom_pmf, _xi_bounds, cn_step, de_run,
+                       multinomial_max_cdf, multinomial_max_eq_count_dist,
+                       resolve_mode, vn_step_bounded, vn_step_exact)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +316,15 @@ def test_vn_exact_integral_weight_ties():
         assert got == pytest.approx(want, abs=1e-10), (dv, q)
 
 
+def test_binom_pmf_log_space_matches_direct_product():
+    # n > 500 takes the log-space branch; the direct product is still
+    # finite at n = 600
+    n = 600
+    for j, p in ((0, 0.001), (300, 0.5), (17, 0.03), (599, 0.999)):
+        want = math.comb(n, j) * p ** j * (1 - p) ** (n - j)
+        assert _binom_pmf(j, n, p) == pytest.approx(want, rel=1e-11), (j, p)
+
+
 def test_vn_exact_q2_matches_gallager_b():
     for dv in (3, 4, 5, 6):
         for xi in (0.02, 0.1, 0.3, 0.45):
@@ -456,3 +466,25 @@ def test_de_run_validates_inputs():
         with pytest.raises(ValueError, match="variable node degree must be "
                                              "at least 2, got 1"):
             step(0.1, 0.05, 1, 4)
+    for func, args, message in (
+            (BoundedProb, (0.5, 0.4), "lower 0.5 exceeds upper 0.4"),
+            (cn_step, (0.9, 1, 4), "dc must be at least 2, got 1"),
+            (cn_step, (1.5, 6, 4), "p0 must be a probability, got 1.5"),
+            (cn_step, (-0.1, 6, 4), "p0 must be a probability, got -0.1"),
+            (multinomial_max_cdf, (-1, 2, 1), "need k, s >= 0, got k=-1, s=2"),
+            (multinomial_max_cdf, (2, -1, 1), "need k, s >= 0, got k=2, s=-1"),
+            (multinomial_max_eq_count_dist, (3, 2, 0),
+             "t must be at least 1, got 0"),
+            (multinomial_max_eq_count_dist, (-1, 2, 1),
+             "need k, s >= 0, got k=-1, s=2"),
+            (multinomial_max_eq_count_dist, (2, -1, 1),
+             "need k, s >= 0, got k=2, s=-1"),
+            (vn_step_exact, (0.1, 0.05, 3, 1), "q must be at least 2, got 1"),
+            (vn_step_exact, (1.5, 0.05, 3, 4), "xi must be in [0, 1], got 1.5"),
+            (vn_step_exact, (-0.1, 0.05, 3, 4),
+             "xi must be in [0, 1], got -0.1"),
+            (resolve_mode, (4, "fast"), "unknown mode 'fast'"),
+            (de_run, (3, 5, 1, 0.05), "q must be at least 2, got 1"),
+            (de_run, (3, 5, 4, 0.05, 0), "l_max must be positive, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            func(*args)

@@ -49,8 +49,13 @@ def test_pool_stops_mid_wave_like_one_worker(small_code):
 
 
 def test_simulate_validates_worker_count(small_code):
-    with pytest.raises(ValueError, match="worker count"):
-        simulate(small_code, 0.12, l_max=20, workers=0)
+    # the iteration cap and the seed are refused the same way
+    for kwargs, message in (
+            ({"workers": 0}, "worker count must be >= 1, got 0"),
+            ({"l_max": 0}, "l_max must be positive, got 0"),
+            ({"seed": -1}, "seed must be nonnegative, got -1")):
+        with pytest.raises(ValueError, match=message):
+            simulate(small_code, 0.12, **{"l_max": 20, **kwargs})
 
 
 @pytest.mark.parametrize("target", [0, -5])
@@ -58,6 +63,8 @@ def test_stop_rule_refuses_target_below_one(target):
     # None is the one way to disable the frame-error target
     with pytest.raises(ValueError, match="target_frame_errors"):
         StopRule(max_frames=10, target_frame_errors=target)
+    with pytest.raises(ValueError, match="max_frames must be >= 1, got 0"):
+        StopRule(max_frames=0)
     assert not StopRule(max_frames=10,
                         target_frame_errors=None).satisfied(9, 9)
 

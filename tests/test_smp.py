@@ -161,6 +161,8 @@ def test_schedule_repeats_last_value():
 def test_schedule_rejects_empty():
     with pytest.raises(ValueError):
         XiSchedule([])
+    with pytest.raises(ValueError, match="iterations are 1-based, got 0"):
+        XiSchedule([0.1]).value_at(0)
 
 
 def test_schedule_from_trace():
@@ -697,3 +699,5 @@ def test_decode_validates_input_length():
         decode(code, y, 0.1, sched, 5, rng=0)
     with pytest.raises(ValueError, match="must be integers, got float64"):
         decode(code, np.full(12, 0.7), 0.1, sched, 5, rng=0)
+    with pytest.raises(ValueError, match="l_max must be positive, got 0"):
+        decode(code, np.zeros(12, dtype=np.int32), 0.1, sched, 0, rng=0)
