@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import _bisect
-from .de import DELTA_CONV, de_run, resolve_mode
+from .de import de_run, resolve_mode
 
 #: Refusing tolerances finer than the bisection can honestly deliver:
 #: near the threshold the recursion needs ever more iterations, and
@@ -25,15 +25,17 @@ MIN_BISECT_TOL = 1e-5
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of a threshold search for one ensemble and field order."""
+    """Outcome of a threshold search for one ensemble and field order.
 
-    dv: int
-    dc: int
+    ``mode`` is the resolved mode. The other inputs stay with the caller
+    and in the CLI's embedded config, except q, which the bracket needs.
+    """
+
     q: int
     eps_star_lower: float
     eps_star_upper: float
     evaluations: int
-    settings: dict
+    mode: str
 
     def __post_init__(self) -> None:
         ceiling = (self.q - 1) / self.q
@@ -82,14 +84,9 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
                             max(0.0, eps_lower - bisect_tol), ceiling,
                             bisect_tol)
 
-    return ThresholdResult(
-        dv=dv, dc=dc, q=q,
-        eps_star_lower=min(eps_lower, eps_upper),
-        eps_star_upper=max(eps_lower, eps_upper),
-        evaluations=len(cache),
-        settings={"mode": mode, "bisect_tol": bisect_tol, "l_max": l_max,
-                  "delta_conv": DELTA_CONV},
-    )
+    return ThresholdResult(q=q, eps_star_lower=min(eps_lower, eps_upper),
+                           eps_star_upper=max(eps_lower, eps_upper),
+                           evaluations=len(cache), mode=mode)
 
 
 def table_report(dv: int, dc: int, q_values: Sequence[int],
@@ -99,9 +96,10 @@ def table_report(dv: int, dc: int, q_values: Sequence[int],
 
     Each row carries the threshold bracket plus the Shannon limit of
     the q-ary symmetric channel at the ensemble design rate 1 - dv/dc,
-    in the order of ``q_values``.
+    in the order of ``q_values``. The benchmark wraps this function as
+    ``cli.table_report`` and wraps ``channel.shannon_limit``, which is
+    therefore looked up at call time.
     """
-    # looked up per call so that a wrapper on channel.shannon_limit sees it
     from .channel import shannon_limit
 
     rows: list[dict] = []

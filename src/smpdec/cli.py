@@ -26,7 +26,7 @@ from .de import de_run
 from .galois import build_field
 from .montecarlo import StopRule, simulate
 
-#: CSV column order of each report; JSON output carries the same keys.
+#: CSV column order of each report; the README lists the JSON keys too.
 DE_COLUMNS = ("iteration", "p0_lower", "p0_upper", "xi_lower", "xi_upper")
 TABLE_COLUMNS = ("dv", "dc", "q", "eps_star_lower", "eps_star_upper",
                  "eps_shannon")
@@ -113,7 +113,14 @@ def _cmd_de(args: argparse.Namespace) -> str:
     trace = de_run(args.dv, args.dc, args.q, args.eps, l_max=args.iters,
                    mode=args.mode)
     if args.format == "json":
-        results = trace.to_json()
+        results = {"dv": args.dv, "dc": args.dc, "q": args.q,
+                   "epsilon": args.eps, "mode": trace.mode,
+                   "converged": trace.converged,
+                   "converged_upper": trace.converged_upper,
+                   "iterations_run": trace.iterations_run,
+                   "records": [{"p0": [r.p0.lower, r.p0.upper],
+                                "xi": [r.xi.lower, r.xi.upper]}
+                               for r in trace.records]}
     else:
         results = [{"iteration": i,
                     "p0_lower": rec.p0.lower, "p0_upper": rec.p0.upper,
@@ -140,13 +147,16 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     # one seed at every epsilon couples the noise monotonically across them
     results = [simulate(code, eps, args.iters, stop=stop, seed=args.seed,
                         workers=args.workers) for eps in epsilons]
+    rows = [{"epsilon": eps, "frames": r.frames_run,
+             "symbol_errors": r.symbol_errors,
+             "frame_errors": r.frame_errors, "ser": r.ser, "fer": r.fer,
+             "wall_time": r.wall_time} for eps, r in zip(epsilons, results)]
     if args.plot:
-        _render_waterfall(results, args.plot)
-    return _render(_config_for(args), args.format,
-                   [r.to_json() for r in results], RESULT_COLUMNS)
+        _render_waterfall(epsilons, results, args.plot)
+    return _render(_config_for(args), args.format, rows, RESULT_COLUMNS)
 
 
-def _render_waterfall(results, path: str) -> None:
+def _render_waterfall(eps: list[float], results, path: str) -> None:
     """Error rates versus flip probability, saved as an image file."""
     try:
         import matplotlib
@@ -156,7 +166,6 @@ def _render_waterfall(results, path: str) -> None:
         raise RuntimeError(
             "matplotlib is required for --plot; install smpdec[plot]"
         ) from None
-    eps = [r.epsilon for r in results]
     positive = [v for r in results for v in (r.ser, r.fer) if v > 0]
     bottom = min(positive) / 2 if positive else 1e-6
     fig, ax = plt.subplots(figsize=(6, 4))

@@ -27,8 +27,8 @@ class CodeGraph:
     """A labeled regular Tanner graph.
 
     Edges are stored in VN-major order: edge e = v * dv + slot connects
-    VN v through its slot-th socket, so ``edge_vn`` and ``m_checks`` are
-    fixed by (n, dv, dc) and derived, not stored.
+    VN v through its slot-th socket, so the VN endpoints and ``m_checks``
+    are fixed by (n, dv, dc) and not stored.
     The graph is simple: no VN has two edges to the same CN, whether it
     was sampled or built directly. Instances are treated as immutable
     after construction.
@@ -71,11 +71,6 @@ class CodeGraph:
     def m_checks(self) -> int:
         """Number of check nodes, n * dv / dc."""
         return self.n * self.dv // self.dc
-
-    @cached_property
-    def edge_vn(self) -> np.ndarray:
-        """VN endpoint index per edge: each VN's dv edges are consecutive."""
-        return np.repeat(np.arange(self.n), self.dv)
 
     @cached_property
     def inv_label(self) -> np.ndarray:

@@ -80,38 +80,21 @@ class IterationRecord:
 class DeTrace:
     """Trajectory of a density-evolution run.
 
-    records[l] holds p0 after l variable-node iterations together with
-    the xi the next variable-node step would see; records[0] is the
+    The run's inputs stay with the caller and in the CLI's embedded
+    config. records[l] holds p0 after l variable-node iterations together
+    with the xi the next variable-node step would see; records[0] is the
     channel initialization. ``converged`` reports whether the lower p0
     trajectory reached 1 - DELTA_CONV; ``converged_upper`` reports the
-    same for the upper trajectory (they coincide in exact mode).
+    same for the upper trajectory (they coincide in exact mode). Above
+    threshold ``iterations_run`` can move by one with the last-bit
+    rounding of a step, as the run stops once ``p_new <= p`` holds exactly.
     """
 
-    dv: int
-    dc: int
-    q: int
-    epsilon: float
     mode: str
     records: list[IterationRecord] = field(default_factory=list)
     converged: bool = False
     converged_upper: bool = False
     iterations_run: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "dv": self.dv,
-            "dc": self.dc,
-            "q": self.q,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "converged": self.converged,
-            "converged_upper": self.converged_upper,
-            "iterations_run": self.iterations_run,
-            "records": [
-                {"p0": [r.p0.lower, r.p0.upper], "xi": [r.xi.lower, r.xi.upper]}
-                for r in self.records
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +384,7 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
         return IterationRecord(BoundedProb(p_lo, p_up), BoundedProb(xi_lo, xi_up))
 
     p_lo = p_up = 1.0 - epsilon
-    trace = DeTrace(dv=dv, dc=dc, q=q, epsilon=epsilon, mode=mode,
-                    records=[make_record(p_lo, p_up)])
+    trace = DeTrace(mode=mode, records=[make_record(p_lo, p_up)])
     if 1.0 - p_lo < DELTA_CONV:
         trace.converged = trace.converged_upper = True
         return trace

@@ -56,23 +56,17 @@ class StopRule:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Error rate estimates from one simulation point."""
+    """Error rate estimates from one simulation point.
 
-    epsilon: float
+    The run's inputs stay with the caller and in the CLI's embedded config.
+    """
+
     frames_run: int
     symbol_errors: int
     frame_errors: int
     ser: float
     fer: float
-    l_max: int
-    seed: int
     wall_time: float
-
-    def to_json(self) -> dict:
-        return {"epsilon": self.epsilon, "frames": self.frames_run,
-                "symbol_errors": self.symbol_errors,
-                "frame_errors": self.frame_errors, "ser": self.ser,
-                "fer": self.fer, "wall_time": self.wall_time}
 
 
 def default_schedule(dv: int, dc: int, q: int, epsilon: float,
@@ -158,7 +152,7 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
     wall = time.perf_counter() - start
     total_symbols = frames * code.n
     return SimResult(
-        epsilon=epsilon, frames_run=frames, symbol_errors=symbol_errors,
+        frames_run=frames, symbol_errors=symbol_errors,
         frame_errors=frame_errors, ser=symbol_errors / total_symbols,
-        fer=frame_errors / frames, l_max=l_max, seed=seed, wall_time=wall,
+        fer=frame_errors / frames, wall_time=wall,
     )

@@ -281,7 +281,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
 
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(rng)
-    mu_vc = y[code.edge_vn]
+    mu_vc = np.repeat(y, code.dv)
     settled = len(schedule.xi_values)
     tie_events = []
     for it in range(1, l_max):

@@ -3,8 +3,11 @@
 Field multiplication is carry-less polynomial multiplication with
 explicit reduction by the field's primitive polynomial, so it shares
 nothing with the exp/log tables of ``smpdec.galois`` but the polynomial
-itself. The labeled-alist text of a graph is built from its edge arrays.
+itself. The labeled-alist text of a graph is built from its edge arrays,
+and the VN endpoint of each edge from the VN-major edge order.
 """
+
+import numpy as np
 
 
 def clmul_mod(a: int, b: int, poly: int, m: int) -> int:
@@ -35,6 +38,11 @@ def gf_inv(field, a: int) -> int:
         a = gf_mul(field, a, a)
         e >>= 1
     return result
+
+
+def edge_vn(code) -> np.ndarray:
+    """VN endpoint of every edge: VN v owns edges v * dv .. v * dv + dv - 1."""
+    return np.arange(code.n * code.dv) // code.dv
 
 
 def labeled_alist(code) -> str:

@@ -66,7 +66,7 @@ def test_acceptance_01_threshold_table_3_5():
     for q, want in zip(FIELD_ORDERS, THRESHOLDS_3_5):
         res = find_threshold(3, 5, q)
         if q == 2:
-            assert res.settings["mode"] == "exact"
+            assert res.mode == "exact"
         devs.append(abs(res.eps_star_lower - want))
     elapsed = time.perf_counter() - start
     ok = max(devs) <= 1e-3 and elapsed < 300.0

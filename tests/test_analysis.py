@@ -14,7 +14,6 @@ def test_threshold_3_5_q4_matches_reference_value():
     assert res.eps_star_upper == pytest.approx(0.123, abs=1e-3)
     assert res.eps_star_lower <= res.eps_star_upper
     assert res.evaluations > 10
-    assert res.settings["bisect_tol"] == 1e-4
 
 
 def test_threshold_exact_mode_rate_half_dv6():
@@ -30,7 +29,7 @@ def test_threshold_zero_for_degree_two():
 
 def test_threshold_q2_uses_exact_mode():
     res = find_threshold(3, 6, 2)
-    assert res.settings["mode"] == "exact"
+    assert res.mode == "exact"
     assert res.eps_star_lower == res.eps_star_upper
     assert res.eps_star_lower == pytest.approx(0.040, abs=1e-3)
 
@@ -52,8 +51,8 @@ def test_threshold_rejects_too_fine_tolerance():
 
 def test_threshold_result_validates_interval():
     with pytest.raises(ValueError):
-        ThresholdResult(dv=3, dc=5, q=4, eps_star_lower=0.2,
-                        eps_star_upper=0.1, evaluations=1, settings={})
+        ThresholdResult(q=4, eps_star_lower=0.2, eps_star_upper=0.1,
+                        evaluations=1, mode="bounded")
 
 
 def test_table_report_rows_and_shannon():

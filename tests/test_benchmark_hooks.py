@@ -1,10 +1,12 @@
-"""The program functions the benchmark's traced runs wrap must exist.
+"""The program names the benchmark reads or wraps must exist.
 
 ``benchmarks/layers.py`` wraps each function where its caller looks it
-up. A renamed or removed target would only surface when the benchmark
-itself runs; this check catches it in the test suite.
+up, and the benchmark reads a few result fields. A renamed or removed
+target would only surface when the benchmark itself runs; these checks
+catch it in the test suite.
 """
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -14,7 +16,9 @@ import pytest
 import smpdec.channel
 from smpdec.analysis import table_report
 from smpdec.code import sample_code
+from smpdec.de import DeTrace
 from smpdec.galois import build_field
+from smpdec.montecarlo import SimResult
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -29,6 +33,16 @@ def layers():
 def test_every_wrapped_target_is_callable(layers):
     for owner, attr, span, _ in layers.WRAPS:
         assert callable(getattr(owner, attr, None)), (owner, attr, span)
+
+
+@pytest.mark.parametrize("result_type, name", [
+    (SimResult, "symbol_errors"),   # workloads.Decode.run
+    (SimResult, "frame_errors"),
+    (SimResult, "frames_run"),
+    (DeTrace, "iterations_run"),    # layers._de_iterations
+])
+def test_result_field_read_by_the_benchmark_exists(result_type, name):
+    assert name in {f.name for f in dataclasses.fields(result_type)}
 
 
 def test_vn_update_returns_messages_and_ties(layers):

@@ -14,6 +14,7 @@ from smpdec import __version__
 from smpdec.channel import capacity, shannon_limit
 from smpdec.cli import DE_COLUMNS, main
 from smpdec.code import sample_code
+from smpdec.de import de_run
 from smpdec.galois import build_field
 
 
@@ -63,6 +64,26 @@ def test_de_json_trace(tmp_path):
     data = json.loads(out.read_text())
     assert data["results"]["converged"] is True
     assert data["results"]["records"]
+
+
+@pytest.mark.parametrize("q, mode", [(2, "exact"), (4, "bounded")])
+def test_de_json_report(capsys, q, mode):
+    # the document `smpdec de --format json` prints, in key order
+    assert main(["de", "--dv", "3", "--dc", "5", "--q", str(q), "--eps",
+                 "0.1", "--iters", "30", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["results"]
+    trace = de_run(3, 5, q, 0.1, l_max=30)
+    want = {
+        "dv": 3, "dc": 5, "q": q, "epsilon": 0.1, "mode": mode,
+        "converged": trace.converged,
+        "converged_upper": trace.converged_upper,
+        "iterations_run": trace.iterations_run,
+        "records": [{"p0": [r.p0.lower, r.p0.upper],
+                     "xi": [r.xi.lower, r.xi.upper]} for r in trace.records],
+    }
+    assert data == want
+    assert list(data) == list(want)
+    assert len(data["records"]) == trace.iterations_run + 1
 
 
 SIMULATE = ["simulate", "--dv", "3", "--dc", "6", "--q", "4", "--n", "120",
@@ -122,6 +143,14 @@ def test_simulate_csv_grid(capsys):
     assert lines[2] == "epsilon,frames,symbol_errors,ser,fer"
     assert len(lines) == 5
     assert int(lines[3].split(",")[1]) == 2
+
+
+def test_simulate_json_row_key_order(capsys):
+    assert main(SIMULATE + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [list(row) for row in rows] == [
+        ["epsilon", "frames", "symbol_errors", "frame_errors", "ser", "fer",
+         "wall_time"]] * 2
 
 
 def test_simulate_plot_renders_file(tmp_path):

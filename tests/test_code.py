@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import labeled_alist
+from oracles import edge_vn, labeled_alist
 from smpdec.galois import build_field
 from smpdec.code import CodeGraph, sample_code, save_code
 
@@ -23,9 +23,8 @@ def test_sample_code_counts():
     code = sample_code(10, 3, 5, F4, seed=7)
     assert code.n == 10
     assert code.m_checks == 6
-    assert code.edge_vn.size == 30
-    # regular degrees
-    assert np.all(np.bincount(code.edge_vn, minlength=10) == 3)
+    assert code.edge_cn.size == 30
+    # regular CN degrees; each VN owns dv consecutive edges by construction
     assert np.all(np.bincount(code.edge_cn, minlength=6) == 5)
     # labels nonzero and in range
     assert np.all(code.edge_label >= 1)
@@ -61,8 +60,8 @@ def test_sample_code_deterministic():
 @pytest.mark.parametrize("seed", range(20))
 def test_sample_code_no_parallel_edges(seed):
     code = sample_code(30, 3, 5, F8, seed=seed)
-    pairs = set(zip(code.edge_vn.tolist(), code.edge_cn.tolist()))
-    assert len(pairs) == code.edge_vn.size
+    pairs = set(zip(edge_vn(code).tolist(), code.edge_cn.tolist()))
+    assert len(pairs) == code.edge_cn.size
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +109,6 @@ def test_codegraph_validates_invariants():
     code = CodeGraph(n=3, dv=2, dc=3, field=F4,
                      edge_cn=edge_cn, edge_label=labels)
     assert code.m_checks == 2
-    assert np.array_equal(code.edge_vn, [0, 0, 1, 1, 2, 2])
 
     bad = labels.copy()
     bad[0] = 0

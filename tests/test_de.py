@@ -6,7 +6,6 @@ share no code with the implementation under test.
 """
 
 import itertools
-import json
 import math
 import re
 
@@ -432,21 +431,6 @@ def test_de_monotone_in_epsilon():
                 for eps in (0.02, 0.05, 0.08, 0.085, 0.095, 0.12)]
     # once divergence starts it never reverts on this grid
     assert verdicts == sorted(verdicts, reverse=True)
-
-
-def test_de_trace_to_json_fields():
-    # the record layout `smpdec de --format json` prints
-    trace = de_run(3, 5, 4, 0.1, l_max=30)
-    data = json.loads(json.dumps(trace.to_json()))
-    assert data == {
-        "dv": 3, "dc": 5, "q": 4, "epsilon": 0.1, "mode": "bounded",
-        "converged": trace.converged,
-        "converged_upper": trace.converged_upper,
-        "iterations_run": trace.iterations_run,
-        "records": [{"p0": [r.p0.lower, r.p0.upper],
-                     "xi": [r.xi.lower, r.xi.upper]} for r in trace.records],
-    }
-    assert len(data["records"]) == trace.iterations_run + 1
 
 
 def test_de_run_validates_inputs():

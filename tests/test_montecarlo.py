@@ -17,8 +17,8 @@ def small_code():
 
 
 def _fields(res: SimResult) -> tuple:
-    return (res.epsilon, res.frames_run, res.symbol_errors,
-            res.frame_errors, res.ser, res.fer, res.l_max, res.seed)
+    return (res.frames_run, res.symbol_errors, res.frame_errors, res.ser,
+            res.fer)
 
 
 def test_noiseless_channel_gives_zero_errors(small_code):
@@ -85,7 +85,6 @@ def test_rates_are_consistent(small_code):
     assert res.ser == pytest.approx(res.symbol_errors / (res.frames_run * n))
     assert res.fer == pytest.approx(res.frame_errors / res.frames_run)
     assert res.wall_time >= 0.0
-    assert res.seed == 9
 
 
 def test_default_schedule_matches_explicit_construction(small_code):
@@ -111,11 +110,14 @@ def test_noise_coupling_across_epsilons(small_code):
 
 def test_sweep_and_csv(small_code):
     stop = StopRule(max_frames=2, target_frame_errors=None)
-    results = [simulate(small_code, eps, l_max=10, stop=stop, seed=6)
-               for eps in (0.05, 0.15)]
+    rows = []
+    for eps in (0.05, 0.15):
+        res = simulate(small_code, eps, l_max=10, stop=stop, seed=6)
+        rows.append({"epsilon": eps, "frames": res.frames_run,
+                     "symbol_errors": res.symbol_errors, "ser": res.ser,
+                     "fer": res.fer})
     config = {"command": "simulate", "version": __version__, "options": {}}
-    text = _render(config, "csv", [r.to_json() for r in results],
-                   RESULT_COLUMNS)
+    text = _render(config, "csv", rows, RESULT_COLUMNS)
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "epsilon,frames,symbol_errors,ser,fer"
     assert len(lines) == 3

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gf_inv, gf_mul
+from oracles import edge_vn, gf_inv, gf_mul
 from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import de_run, vn_step_exact
@@ -96,8 +96,9 @@ def find_nonzero_codeword(code):
     f = code.field
     n, m = code.n, code.m_checks
     rows = [[0] * n for _ in range(m)]
-    for e in range(len(code.edge_vn)):
-        rows[code.edge_cn[e]][code.edge_vn[e]] = int(code.edge_label[e])
+    vn = edge_vn(code)
+    for e in range(len(vn)):
+        rows[code.edge_cn[e]][vn[e]] = int(code.edge_label[e])
     pivots = []
     r = 0
     for col in range(n):
@@ -124,9 +125,9 @@ def find_nonzero_codeword(code):
     # verify against the checks directly
     for row in range(m):
         acc = 0
-        for e in range(len(code.edge_vn)):
+        for e in range(len(vn)):
             if code.edge_cn[e] == row:
-                acc ^= gf_mul(f, int(code.edge_label[e]), x[code.edge_vn[e]])
+                acc ^= gf_mul(f, int(code.edge_label[e]), x[vn[e]])
         assert acc == 0
     assert any(x)
     return np.array(x, dtype=np.int32)
@@ -247,7 +248,7 @@ def test_cn_update_all_zero_codeword():
 def test_cn_update_codeword_reproduces_excluded_symbol():
     code = sample_code(6, 2, 3, F4, seed=9)
     x = find_nonzero_codeword(code)
-    mu = x[code.edge_vn].astype(np.int32)
+    mu = x[edge_vn(code)].astype(np.int32)
     out = cn_update(code, mu)
     assert np.array_equal(out, mu)
 
@@ -271,7 +272,7 @@ def test_cn_update_matches_naive_oracle():
 def test_vn_update_unanimous():
     code = sample_code(8, 3, 4, F4, seed=3)
     y = np.full(8, 2, dtype=np.int32)
-    mu_cv = y[code.edge_vn].astype(np.int32)
+    mu_cv = y[edge_vn(code)].astype(np.int32)
     out, _ = vn_update(code, mu_cv, y, epsilon=0.1, xi=0.2,
                        rng=np.random.default_rng(0))
     assert np.all(out == 2)
@@ -326,7 +327,7 @@ def test_vn_update_is_extrinsic():
     pert, _ = vn_update(code, mu2, y, 0.05, 0.15, np.random.default_rng(1))
     assert pert[edge] == base[edge]
     changed = np.nonzero(pert != base)[0]
-    assert all(code.edge_vn[e] == 4 for e in changed)
+    assert all(edge_vn(code)[e] == 4 for e in changed)
 
 
 def test_vn_update_tie_statistics_uniform():
@@ -549,7 +550,7 @@ def test_decode_matches_scalar_reference_pipeline():
     # uniform block per message iteration, one length-n block for the
     # final decision
     ref_rng = np.random.default_rng(555)
-    mu_vc = y[code.edge_vn].astype(np.int32)
+    mu_vc = y[edge_vn(code)].astype(np.int32)
     ties = []
     for it in range(1, l_max + 1):
         mu_cv = naive_cn_update(code, mu_vc)
@@ -580,7 +581,7 @@ def _stepwise_decode(code, y, eps, schedule, l_max, seed):
     of the schedule whose messages repeat the previous ones.
     """
     gen = np.random.default_rng(seed)
-    mu_vc = y[code.edge_vn]
+    mu_vc = y[edge_vn(code)]
     ties, repeats = [], []
     for it in range(1, l_max):
         sent, t = vn_update(code, cn_update(code, mu_vc), y, eps,
