@@ -13,7 +13,8 @@ vote-count events and differ only in how a score tie pays out:
   bounds (q > 2); its interval is exact wherever no tie can occur.
 
 Both walk the same events per step, with ball counts cached across
-calls, but a bounded run takes two steps per iteration, one per bound.
+calls. A bounded iteration takes one step while its xi interval is a
+point, which serves both bounds, and two otherwise, one per bound.
 
 ``de_run`` iterates either flavour and reports the full trajectory, from
 which decoder weight schedules and convergence thresholds are derived.
@@ -395,9 +396,13 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
             p_lo_new = p_up_new = vn_step_exact(rec.xi.lower, epsilon, dv, q)
         else:
             # each trajectory evolves on its own xi end, so each is a
-            # genuine one-sided recursion rather than interval arithmetic
-            p_lo_new = vn_step_bounded(rec.xi.upper, epsilon, dv, q).lower
-            p_up_new = vn_step_bounded(rec.xi.lower, epsilon, dv, q).upper
+            # genuine one-sided recursion rather than interval arithmetic;
+            # while the xi interval is a point, one step serves both
+            step = vn_step_bounded(rec.xi.upper, epsilon, dv, q)
+            p_lo_new = step.lower
+            if rec.xi.lower != rec.xi.upper:
+                step = vn_step_bounded(rec.xi.lower, epsilon, dv, q)
+            p_up_new = step.upper
         trace.records.append(make_record(p_lo_new, p_up_new))
         trace.iterations_run = it
         if 1.0 - p_lo_new < DELTA_CONV:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import smpdec.channel
-from smpdec.analysis import table_report
+import smpdec.de
+from smpdec.analysis import find_threshold, table_report
 from smpdec.code import sample_code
-from smpdec.de import DeTrace
+from smpdec.de import DeTrace, de_run
 from smpdec.galois import build_field
 from smpdec.montecarlo import SimResult
 
@@ -71,3 +72,23 @@ def test_table_report_finds_a_wrapped_shannon_limit(monkeypatch):
     monkeypatch.setattr(smpdec.channel, "shannon_limit", counting)
     table_report(3, 5, [2], bisect_tol=1e-2)
     assert calls == [(2, 1.0 - 3 / 5)]
+
+
+def test_de_steps_are_looked_up_where_the_benchmark_wraps_them(monkeypatch):
+    # the grid's expected de.* step spans fire only because de_run looks
+    # the steps up as smpdec.de module globals
+    calls = {}
+    for name in ("cn_step", "vn_step_exact", "vn_step_bounded"):
+        def counting(*args, _name=name, _step=getattr(smpdec.de, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _step(*args)
+        monkeypatch.setattr(smpdec.de, name, counting)
+    find_threshold(3, 5, 2, bisect_tol=1e-2)
+    find_threshold(3, 5, 4, bisect_tol=1e-2)
+    assert set(calls) == {"cn_step", "vn_step_exact", "vn_step_bounded"}
+
+    # a dv = 3 interval stays a point, so one bounded step per iteration
+    calls.clear()
+    trace = de_run(3, 6, 4, 0.08, mode="bounded")
+    assert trace.iterations_run > 0
+    assert calls["vn_step_bounded"] == trace.iterations_run

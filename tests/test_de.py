@@ -12,9 +12,10 @@ import re
 import pytest
 
 from smpdec.channel import weight_D
-from smpdec.de import (BoundedProb, _binom_pmf, _xi_bounds, cn_step, de_run,
-                       multinomial_max_cdf, multinomial_max_eq_count_dist,
-                       resolve_mode, vn_step_bounded, vn_step_exact)
+from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
+                       _xi_bounds, cn_step, de_run, multinomial_max_cdf,
+                       multinomial_max_eq_count_dist, resolve_mode,
+                       vn_step_bounded, vn_step_exact)
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +425,60 @@ def test_de_run_q2_trajectory_matches_gallager_b():
         xi = 0.5 * (1 - g ** 5)
         p0 = gallager_b_step_oracle(xi, eps, 3)
         assert rec.p0.lower == pytest.approx(p0, abs=1e-12)
+
+
+def two_step_bounded_reference(dv, dc, q, eps, l_max=2000):
+    """The bounded recursion with a step at both xi ends every iteration.
+
+    Returns (records, converged, converged_upper, iterations_run), the
+    lower trajectory stepping at xi.upper and the upper one at xi.lower.
+    """
+    def record(p_lo, p_up):
+        return IterationRecord(BoundedProb(p_lo, p_up),
+                               BoundedProb(*_xi_bounds(p_lo, p_up, dc, q)))
+
+    p_lo = p_up = 1.0 - eps
+    records = [record(p_lo, p_up)]
+    converged = 1.0 - p_lo < DELTA_CONV
+    it = 0
+    while not converged and it < l_max:
+        it += 1
+        xi = records[-1].xi
+        lo = vn_step_bounded(xi.upper, eps, dv, q).lower
+        up = vn_step_bounded(xi.lower, eps, dv, q).upper
+        records.append(record(lo, up))
+        converged = 1.0 - lo < DELTA_CONV
+        if converged or (lo <= p_lo and up <= p_up):
+            break
+        p_lo, p_up = lo, up
+    converged_upper = converged or 1.0 - records[-1].p0.upper < DELTA_CONV
+    return records, converged, converged_upper, it
+
+
+#: Paper thresholds of the rate-1/2 ensembles at q = 4, 64 and 512.
+RATE_HALF_THRESHOLDS = {(3, 6): (0.089, 0.110, 0.111),
+                        (4, 8): (0.081, 0.176, 0.186),
+                        (5, 10): (0.081, 0.162, 0.188),
+                        (6, 12): (0.074, 0.135, 0.178)}
+
+
+def test_de_run_bounded_matches_two_step_reference():
+    # de_run steps once while the xi interval is a point; the reference
+    # always steps at both ends, so both branches must agree bit for bit
+    wide = 0
+    for (dv, dc), thresholds in RATE_HALF_THRESHOLDS.items():
+        for q, thr in zip((4, 64, 512), thresholds):
+            for eps in (0.95 * thr, 1.05 * thr):
+                trace = de_run(dv, dc, q, eps, mode="bounded")
+                records, conv, conv_up, its = two_step_bounded_reference(
+                    dv, dc, q, eps)
+                where = (dv, dc, q, eps)
+                assert trace.records == records, where
+                assert trace.converged == conv, where
+                assert trace.converged_upper == conv_up, where
+                assert trace.iterations_run == its, where
+                wide += sum(r.xi.lower != r.xi.upper for r in records[:-1])
+    assert wide > 0
 
 
 def test_de_monotone_in_epsilon():
