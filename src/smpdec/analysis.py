@@ -5,8 +5,10 @@ flip probability for which density evolution drives the symbol error
 rate to zero.  ``find_threshold`` locates it by bisection on epsilon.
 In bounded mode the evolution tracks an interval per iteration, so the
 search produces a bracket [eps_star_lower, eps_star_upper]: the lower
-value is certified by the pessimistic trajectory, the upper one by the
-optimistic trajectory.  In exact mode the two coincide.
+value is the threshold of the pessimistic trajectory, the upper one that
+of the optimistic one.  The two searches share their probes up to the
+first where the trajectories disagree, so the width is the gap between
+them; it is zero if they never disagree.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
 
     epsilon = 0 is taken as converging and the channel ceiling
     (q-1)/q as not converging, so the search always starts from a
-    valid bracket.  Bounded mode runs two bisections, one per
-    trajectory, reusing evaluations where the probe points coincide;
-    exact mode runs one and reports a degenerate bracket.
+    valid bracket.  Each trajectory gets its own bisection from 0, over
+    one cache of density-evolution runs.  A run that converges also
+    converges optimistically, so both searches share every probe up to
+    the first whose verdicts differ (in exact mode, all of them).
     ``bisect_tol`` must lie in [MIN_BISECT_TOL, (q-1)/q): a coarser one
     would end the search before any density-evolution run.
     """
@@ -74,18 +77,9 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
         return cache[eps]
 
     eps_lower = _bisect(lambda e: flags(e)[0], 0.0, ceiling, bisect_tol)
-    if mode == "exact":
-        eps_upper = eps_lower
-    else:
-        # The optimistic trajectory converges wherever the pessimistic
-        # one does, so its threshold search can start at the certified
-        # lower edge instead of zero.
-        eps_upper = _bisect(lambda e: flags(e)[1],
-                            max(0.0, eps_lower - bisect_tol), ceiling,
-                            bisect_tol)
-
-    return ThresholdResult(q=q, eps_star_lower=min(eps_lower, eps_upper),
-                           eps_star_upper=max(eps_lower, eps_upper),
+    eps_upper = _bisect(lambda e: flags(e)[1], 0.0, ceiling, bisect_tol)
+    return ThresholdResult(q=q, eps_star_lower=eps_lower,
+                           eps_star_upper=eps_upper,
                            evaluations=len(cache), mode=mode)
 
 

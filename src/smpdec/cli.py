@@ -66,10 +66,6 @@ def _field_orders(text: str) -> list[int]:
     return orders
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in _tokens(text)]
-
-
 def _comment_block(config: dict) -> str:
     return (f"# smpdec {config['version']}\n"
             f"# config: {json.dumps(config, sort_keys=True)}\n")
@@ -140,7 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     field = build_field(_field_order(args.q))
     code = sample_code(args.n, args.dv, args.dc, field, seed=args.seed)
     epsilons = [args.eps] if args.eps is not None \
-        else _float_list(args.eps_grid)
+        else [float(tok) for tok in _tokens(args.eps_grid)]
     frame_target = None if args.frame_errors == 0 else args.frame_errors
     stop = StopRule(max_frames=args.max_frames,
                     target_frame_errors=frame_target)

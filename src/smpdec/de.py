@@ -86,7 +86,9 @@ class DeTrace:
     with the xi the next variable-node step would see; records[0] is the
     channel initialization. ``converged`` reports whether the lower p0
     trajectory reached 1 - DELTA_CONV; ``converged_upper`` reports the
-    same for the upper trajectory (they coincide in exact mode). Above
+    same for the upper trajectory (they coincide in exact mode).
+    ``converged`` implies ``converged_upper``, which the threshold
+    search relies on to share its probes between the two. Above
     threshold ``iterations_run`` can move by one with the last-bit
     rounding of a step, as the run stops once ``p_new <= p`` holds exactly.
     """

@@ -12,8 +12,10 @@ def test_threshold_3_5_q4_matches_reference_value():
     res = find_threshold(3, 5, 4)
     assert res.eps_star_lower == pytest.approx(0.123, abs=1e-3)
     assert res.eps_star_upper == pytest.approx(0.123, abs=1e-3)
-    assert res.eps_star_lower <= res.eps_star_upper
-    assert res.evaluations > 10
+    # a dv = 3 xi interval is a point, so both trajectories are the same
+    # and the two bisections follow one probe path: one search's runs
+    assert res.eps_star_lower == res.eps_star_upper
+    assert res.evaluations == 13
 
 
 def test_threshold_exact_mode_rate_half_dv6():
@@ -32,6 +34,17 @@ def test_threshold_q2_uses_exact_mode():
     assert res.mode == "exact"
     assert res.eps_star_lower == res.eps_star_upper
     assert res.eps_star_lower == pytest.approx(0.040, abs=1e-3)
+    # the second search answers every probe from the first one's runs
+    assert res.evaluations == 13
+
+
+def test_threshold_searches_split_where_trajectories_disagree():
+    # (7,14) over GF(32) has probes that converge only optimistically;
+    # the searches share the probes before the first of them and then
+    # part, each with its own runs, so the bracket opens
+    res = find_threshold(7, 14, 32)
+    assert res.eps_star_lower < res.eps_star_upper
+    assert 14 < res.evaluations < 28
 
 
 def test_threshold_nondecreasing_in_field_order():
