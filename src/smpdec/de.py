@@ -9,8 +9,9 @@ vote-count events and differ only in how a score tie pays out:
 
 * ``vn_step_exact`` averages 1/(argmax size) over the exact distribution
   of how many symbols share the maximum.
-* ``vn_step_bounded`` replaces that average with closed lower and upper
-  bounds (q > 2); its interval is exact wherever no tie can occur.
+* ``vn_step_bounded`` (q > 2) takes that average over ties of at most
+  BOUNDED_EXACT_TIES further cells and bounds the rarer, wider ones; for
+  dv <= 6 it equals the exact step except at integral weights.
 
 Both walk the same events per step, with ball counts cached across
 calls. A bounded iteration takes one step while its xi interval is a
@@ -45,6 +46,9 @@ __all__ = [
 #: A run has converged once the lower p0 trajectory is within this
 #: distance of 1.
 DELTA_CONV = 1e-9
+
+#: The bounded step pays ties of up to this many further cells exactly.
+BOUNDED_EXACT_TIES = 3
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +212,7 @@ def _binom_pmf(j: int, n: int, p: float) -> float:
 
 
 def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
-             tie_pay) -> tuple[float, float]:
+             exact_r: int) -> tuple[float, float]:
     """(lower, upper) probability that the next message is correct.
 
     The outgoing message is the symbol maximizing (vote count) + w for
@@ -216,10 +220,9 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     The walk runs over the vote counts of the sent and the observed
     symbol. At each event the sent symbol and c - 1 other named symbols
     share the score t, while k further cells share s votes.
-    ``tie_pay(k, s, t, c)`` returns (lower, upper) bounds on the chance
-    that the sent symbol is picked: no such cell may exceed t, and a tie
-    is broken uniformly over the argmax. Only this payout differs
-    between the exact and bounded steps.
+    ``_tie_pay(k, s, t, c, exact_r)`` pays the event; the exact step's
+    exact_r = dv pays every event exactly, and for dv <= 6 the bounded
+    step's does so except at integral weights.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
@@ -250,7 +253,7 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
             up += pf * win
         else:
             t = f0 + w_floor
-            p_lo, p_up = tie_pay(k, s, t, 1)
+            p_lo, p_up = _tie_pay(k, s, t, 1, exact_r)
             lo += pf * p_lo
             up += pf * p_up
 
@@ -270,7 +273,7 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
                 continue
             # the sent symbol must also beat the q - 2 remaining cells
             s = rem - f0
-            p_lo, p_up = tie_pay(k - 1, s, f0, 1)
+            p_lo, p_up = _tie_pay(k - 1, s, f0, 1, exact_r)
             lo += pf0 * p_lo
             up += pf0 * p_up
         if tie and f1 + w_floor <= rem:
@@ -278,7 +281,7 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
             pf0 = _binom_pmf(a1, rem, pc) * pf1
             if pf0 > 0.0:
                 # sent symbol ties the observed one; both join the argmax
-                p_lo, p_up = tie_pay(k - 1, rem - a1, a1, 2)
+                p_lo, p_up = _tie_pay(k - 1, rem - a1, a1, 2, exact_r)
                 lo += pf0 * p_lo
                 up += pf0 * p_up
 
@@ -286,25 +289,19 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     return min(lo, 1.0), min(up, 1.0)
 
 
-def _exact_tie_pay(k: int, s: int, t: int, c: int) -> tuple[float, float]:
-    """Expected 1/(argmax size) over the number r of cells also at t."""
-    dist = multinomial_max_eq_count_dist(k, s, t)
-    win = sum(p / (c + r) for r, p in enumerate(dist))
-    return win, win
+@lru_cache(maxsize=None)
+def _tie_pay(k: int, s: int, t: int, c: int,
+             exact_r: int) -> tuple[float, float]:
+    """Expected 1/(argmax size) over the number r of cells also at t.
 
-
-def _bounded_tie_pay(k: int, s: int, t: int, c: int) -> tuple[float, float]:
-    """1/(argmax size) bounded by 1/n_max and 1/(c + 1) once a cell ties.
-
-    At most n_max = c + min(s // t, k) symbols share the maximum: the
-    s balls fill at most s // t of the k cells to t; k >= 1 as q > 2.
+    Terms r <= exact_r are paid exactly; the tail is paid 1/(c + r_max)
+    at the lower end and 1/(c + exact_r + 1) at the upper one, so both
+    ends are exact when r_max = min(k, s // t) <= exact_r + 1.
     """
-    total = k ** s
-    w_lt = _capped_assignments(k, s, t - 1)
-    p_lt = w_lt / total
-    p_eq = (_capped_assignments(k, s, t) - w_lt) / total
-    n_max = c + min(s // t, k)
-    return p_lt / c + p_eq / n_max, p_lt / c + p_eq / (c + 1)
+    dist = multinomial_max_eq_count_dist(k, s, t)
+    win = sum(p / (c + r) for r, p in enumerate(dist[:exact_r + 1]))
+    tail = sum(dist[exact_r + 1:])
+    return win + tail / (c + len(dist) - 1), win + tail / (c + exact_r + 1)
 
 
 def vn_step_exact(xi: float, epsilon: float, dv: int, q: int) -> float:
@@ -313,20 +310,21 @@ def vn_step_exact(xi: float, epsilon: float, dv: int, q: int) -> float:
     Tie multiplicities are enumerated exactly through the distribution
     of the number of cells attaining the maximum.
     """
-    return _vn_walk(xi, epsilon, dv, q, _exact_tie_pay)[0]
+    return _vn_walk(xi, epsilon, dv, q, dv)[0]
 
 
 def vn_step_bounded(xi: float, epsilon: float, dv: int, q: int) -> BoundedProb:
     """Upper and lower bounds on the exact variable-node update.
 
-    Tie events are kept, but the expected reciprocal of the argmax size
-    is replaced by closed bounds: the argmax holds at least two symbols
-    whenever a tie occurs, and never more than the ball counts allow.
-    Requires q > 2; at q = 2 the exact update is already cheap.
+    A tie is paid exactly while at most BOUNDED_EXACT_TIES further cells
+    share the maximum; beyond that the argmax size is bounded by the
+    ball counts. For dv <= 6 both ends equal the exact step except at
+    integral weights. Requires q > 2; at q = 2 the exact update is
+    already cheap.
     """
     if q <= 2:
         raise ValueError("bounded update needs q > 2; use vn_step_exact")
-    return BoundedProb(*_vn_walk(xi, epsilon, dv, q, _bounded_tie_pay))
+    return BoundedProb(*_vn_walk(xi, epsilon, dv, q, BOUNDED_EXACT_TIES))
 
 
 # ----------------------------------------------------------------------

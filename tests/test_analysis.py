@@ -2,10 +2,12 @@
 
 import pytest
 
+import smpdec.analysis
 from smpdec import __version__
 from smpdec.analysis import ThresholdResult, find_threshold, table_report
 from smpdec.channel import shannon_limit
 from smpdec.cli import TABLE_COLUMNS, _render
+from smpdec.de import DeTrace
 
 
 def test_threshold_3_5_q4_matches_reference_value():
@@ -38,12 +40,20 @@ def test_threshold_q2_uses_exact_mode():
     assert res.evaluations == 13
 
 
-def test_threshold_searches_split_where_trajectories_disagree():
-    # (7,14) over GF(32) has probes that converge only optimistically;
-    # the searches share the probes before the first of them and then
-    # part, each with its own runs, so the bracket opens
+def test_threshold_searches_split_where_trajectories_disagree(monkeypatch):
+    # a stand-in evolution whose optimistic trajectory converges over a
+    # wider epsilon range than the pessimistic one; the searches share
+    # the probes before the first where they disagree and then part,
+    # each with its own runs, so the bracket opens
+    def de_run(dv, dc, q, eps, mode, l_max):
+        return DeTrace(mode=mode, converged=eps < 0.10,
+                       converged_upper=eps < 0.12)
+
+    monkeypatch.setattr(smpdec.analysis, "de_run", de_run)
     res = find_threshold(7, 14, 32)
     assert res.eps_star_lower < res.eps_star_upper
+    assert res.eps_star_lower == pytest.approx(0.10, abs=1e-4)
+    assert res.eps_star_upper == pytest.approx(0.12, abs=1e-4)
     assert 14 < res.evaluations < 28
 
 

@@ -350,9 +350,10 @@ def test_vn_bounded_rejects_q2():
         vn_step_bounded(0.1, 0.05, 3, 2)
 
 
-@pytest.mark.parametrize("dv", [2, 3, 4])
+@pytest.mark.parametrize("dv", [2, 3, 4, 7])
 @pytest.mark.parametrize("q", [4, 8])
 def test_vn_bounded_sandwiches_exact(dv, q):
+    wide = 0
     for i in range(1, 11):
         for j in range(1, 11):
             xi = i * 0.72 / 11
@@ -362,15 +363,23 @@ def test_vn_bounded_sandwiches_exact(dv, q):
             assert bound.lower <= exact + 1e-12, (dv, q, xi, eps)
             assert exact <= bound.upper + 1e-12, (dv, q, xi, eps)
             assert bound.lower <= bound.upper
+            wide += bound.lower != bound.upper
+    # at dv = 7 and q = 8, five further cells can tie at generic
+    # weights, so the bounds themselves are under test there
+    if (dv, q) == (7, 8):
+        assert wide > 0
 
 
 def test_vn_bounded_tight_for_dv3_generic_weights():
-    # with dv = 3 and non-integral weight, no multi-way tie events exist,
-    # so both bounds collapse onto the exact value
-    for q in (4, 16):
-        for xi, eps in [(0.2, 0.1), (0.4, 0.05), (0.1, 0.3)]:
-            bound = vn_step_bounded(xi, eps, 3, q)
-            assert bound.upper - bound.lower <= 1e-13
+    # for dv <= 6 and a non-integral weight, at most four further cells
+    # can tie, and the bounded step pays such ties exactly: both ends
+    # are the exact value, bit for bit
+    for dv in range(3, 7):
+        for q in (4, 16):
+            for xi, eps in [(0.2, 0.1), (0.4, 0.05), (0.1, 0.3)]:
+                bound = vn_step_bounded(xi, eps, dv, q)
+                exact = vn_step_exact(xi, eps, dv, q)
+                assert bound.lower == bound.upper == exact, (dv, q, xi, eps)
 
 
 def test_vn_bounded_integral_weight_sandwich():
@@ -464,20 +473,25 @@ RATE_HALF_THRESHOLDS = {(3, 6): (0.089, 0.110, 0.111),
 
 def test_de_run_bounded_matches_two_step_reference():
     # de_run steps once while the xi interval is a point; the reference
-    # always steps at both ends, so both branches must agree bit for bit
+    # always steps at both ends, so both branches must agree bit for bit.
+    # Below dv = 7 every xi interval is a point; the (7,14) runs each
+    # hold a record whose xi ends differ, so the two-step branch runs
+    cases = [(dv, dc, q, eps)
+             for (dv, dc), thresholds in RATE_HALF_THRESHOLDS.items()
+             for q, thr in zip((4, 64, 512), thresholds)
+             for eps in (0.95 * thr, 1.05 * thr)]
+    cases += [(7, 14, 64, 0.10), (7, 14, 64, 0.12), (7, 14, 512, 0.08)]
     wide = 0
-    for (dv, dc), thresholds in RATE_HALF_THRESHOLDS.items():
-        for q, thr in zip((4, 64, 512), thresholds):
-            for eps in (0.95 * thr, 1.05 * thr):
-                trace = de_run(dv, dc, q, eps, mode="bounded")
-                records, conv, conv_up, its = two_step_bounded_reference(
-                    dv, dc, q, eps)
-                where = (dv, dc, q, eps)
-                assert trace.records == records, where
-                assert trace.converged == conv, where
-                assert trace.converged_upper == conv_up, where
-                assert trace.iterations_run == its, where
-                wide += sum(r.xi.lower != r.xi.upper for r in records[:-1])
+    for dv, dc, q, eps in cases:
+        trace = de_run(dv, dc, q, eps, mode="bounded")
+        records, conv, conv_up, its = two_step_bounded_reference(
+            dv, dc, q, eps)
+        where = (dv, dc, q, eps)
+        assert trace.records == records, where
+        assert trace.converged == conv, where
+        assert trace.converged_upper == conv_up, where
+        assert trace.iterations_run == its, where
+        wide += sum(r.xi.lower != r.xi.upper for r in records[:-1])
     assert wide > 0
 
 
