@@ -30,7 +30,8 @@ from .montecarlo import StopRule, simulate
 DE_COLUMNS = ("iteration", "p0_lower", "p0_upper", "xi_lower", "xi_upper")
 TABLE_COLUMNS = ("dv", "dc", "q", "eps_star_lower", "eps_star_upper",
                  "eps_shannon")
-RESULT_COLUMNS = ("epsilon", "frames", "symbol_errors", "ser", "fer")
+RESULT_COLUMNS = ("epsilon", "frames", "symbol_errors", "ser", "fer",
+                  "iterations_mean", "iterations_max")
 
 
 def _config_for(args: argparse.Namespace) -> dict:
@@ -146,6 +147,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     rows = [{"epsilon": eps, "frames": r.frames_run,
              "symbol_errors": r.symbol_errors,
              "frame_errors": r.frame_errors, "ser": r.ser, "fer": r.fer,
+             "iterations_mean": r.iterations_mean,
+             "iterations_max": r.iterations_max,
              "wall_time": r.wall_time} for eps, r in zip(epsilons, results)]
     if args.plot:
         _render_waterfall(epsilons, results, args.plot)

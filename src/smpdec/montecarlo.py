@@ -56,7 +56,8 @@ class StopRule:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Error rate estimates from one simulation point.
+    """Error rate estimates from one simulation point, with the mean and
+    the largest number of decoder iterations its frames ran.
 
     The run's inputs stay with the caller and in the CLI's embedded config.
     """
@@ -66,6 +67,8 @@ class SimResult:
     frame_errors: int
     ser: float
     fer: float
+    iterations_mean: float
+    iterations_max: int
     wall_time: float
 
 
@@ -83,18 +86,19 @@ def default_schedule(dv: int, dc: int, q: int, epsilon: float,
 
 def _decode_frame(code: CodeGraph, params: ChannelParams,
                   schedule: XiSchedule, l_max: int, seed: int,
-                  index: int) -> int:
-    """Symbol error count of one frame, deterministic in (seed, index)."""
+                  index: int) -> tuple[int, int]:
+    """Symbol errors and decoder iterations of one frame, deterministic
+    in (seed, index)."""
     rng = np.random.default_rng([seed, index])
     zeros = np.zeros(code.n, dtype=np.int32)
     y = transmit(zeros, params, rng)
     result = decode(code, y, params.epsilon, schedule, l_max, rng=rng)
-    return int(np.count_nonzero(result.decided))
+    return int(np.count_nonzero(result.decided)), result.iterations
 
 
-def _frame_errors(state: tuple, workers: int,
-                  max_frames: int) -> Iterator[int]:
-    """Symbol error counts of frames 0, 1, ... in index order.
+def _frame_outcomes(state: tuple, workers: int,
+                    max_frames: int) -> Iterator[tuple[int, int]]:
+    """``_decode_frame`` outcomes of frames 0, 1, ... in index order.
 
     ``state`` holds the leading arguments of ``_decode_frame``. With more
     than one worker, frames run in a process pool in waves of two per
@@ -139,13 +143,15 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
                                     l_max)
 
     start = time.perf_counter()
-    frames = frame_errors = symbol_errors = 0
+    frames = frame_errors = symbol_errors = iterations = max_iterations = 0
     state = (code, params, schedule, l_max, seed)
-    with closing(_frame_errors(state, workers, stop.max_frames)) as counts:
-        for errors in counts:
+    with closing(_frame_outcomes(state, workers, stop.max_frames)) as runs:
+        for errors, its in runs:
             frames += 1
             symbol_errors += errors
             frame_errors += int(errors > 0)
+            iterations += its
+            max_iterations = max(max_iterations, its)
             if stop.satisfied(frames, frame_errors):
                 break
 
@@ -154,5 +160,6 @@ def simulate(code: CodeGraph, epsilon: float, l_max: int,
     return SimResult(
         frames_run=frames, symbol_errors=symbol_errors,
         frame_errors=frame_errors, ser=symbol_errors / total_symbols,
-        fer=frame_errors / frames, wall_time=wall,
+        fer=frame_errors / frames, iterations_mean=iterations / frames,
+        iterations_max=max_iterations, wall_time=wall,
     )

@@ -17,19 +17,21 @@ kernel keys every node by the equality pattern of its candidates and
 reads the tie set of each outgoing slot, and of the final decision,
 from a table that scores one representative candidate row per pattern.
 
-A frame stops early at a tie-free fixed point. When an iteration at or
-past the end of the schedule sends the same messages as the one before
-it with no tie, the next iteration sees the same check messages and the
-same xi, so it repeats those messages without a tie, and so does every
-later one; if the decision from those check messages has no tie either,
-it is the decision of the last iteration.
+A frame stops early at a tie-free fixed point. Once the weight class
+(where w falls among the vote counts) no longer changes up to l_max,
+every later iteration applies the same map from check messages to
+messages. So when such an iteration sends the same messages as the one
+before it with no tie, the next iteration sees the same check messages
+and the same class, so it repeats those messages without a tie, and so
+does every later one; if the decision from those check messages has no
+tie either, it is the decision of the last iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -103,6 +105,23 @@ def _weight_class(w: float, dv: int) -> int:
     above dv for k = dv) and class 2k - 1 is w = k exactly.
     """
     return min(math.ceil(w) - 1, dv) + min(math.floor(w), dv)
+
+
+@lru_cache(maxsize=64)
+def _settled_iteration(schedule: XiSchedule, q: int, epsilon: float,
+                       dv: int, l_max: int) -> int:
+    """First iteration from which the weight class stays that of l_max.
+
+    Reads past the schedule's end repeat its final value. Every frame of
+    a run asks the same; the cache is bounded so that a long-lived
+    process does not keep every schedule it has decoded with.
+    """
+    classes = [_weight_class(weight_ratio(q, epsilon, xi), dv)
+               for xi in schedule.xi_values[:l_max]]
+    settled = len(classes)
+    while settled > 1 and classes[settled - 2] == classes[-1]:
+        settled -= 1
+    return settled
 
 
 @cache
@@ -257,15 +276,18 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
 
     Variable nodes read each outgoing message from a table indexed by
     the equality pattern of their candidates (see the module docstring).
-    The run stops after iteration it < l_max when it is at or past the
-    end of the schedule, its messages equal those of iteration it - 1
-    (the channel word for it = 1), none of them tied, and the decision
-    from its check messages has no tie. Every later iteration would
-    then repeat those messages without a tie, so that decision is
-    returned, the remaining tie counts are zeros and ``iterations`` is
-    it. The decisions and tie counts equal those of the full run; a
-    Generator passed as rng is left in a different state, having made
-    none of the skipped iterations' draws.
+    The run stops after iteration it < l_max when the weight class of
+    every iteration from it to l_max is the same, its messages equal
+    those of iteration it - 1 (the channel word for it = 1), none of
+    them tied, and the decision from its check messages has no tie.
+    Every later iteration would then read the same pattern table and
+    the same check messages, so it would repeat those messages without
+    a tie and never read its draws; the decision at l_max sees the same
+    class and check messages too. So that decision is returned, the
+    remaining tie counts are zeros and ``iterations`` is it. The
+    decisions and tie counts equal those of the full run; a Generator
+    passed as rng is left in a different state, having made none of the
+    skipped iterations' draws.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
@@ -282,7 +304,8 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(rng)
     mu_vc = np.repeat(y, code.dv)
-    settled = len(schedule.xi_values)
+    settled = _settled_iteration(schedule, code.field.q, epsilon, code.dv,
+                                 l_max)
     tie_events = []
     for it in range(1, l_max):
         mu_cv = cn_update(code, mu_vc)

@@ -320,8 +320,10 @@ def test_acceptance_08_property_suites():
     stop = StopRule(max_frames=5, target_frame_errors=None)
     one = simulate(small, 0.12, l_max=15, stop=stop, seed=3, workers=1)
     two = simulate(small, 0.12, l_max=15, stop=stop, seed=3, workers=2)
-    assert (one.symbol_errors, one.frame_errors, one.ser, one.fer) == \
-        (two.symbol_errors, two.frame_errors, two.ser, two.fer)
+    assert (one.symbol_errors, one.frame_errors, one.ser, one.fer,
+            one.iterations_mean, one.iterations_max) == \
+        (two.symbol_errors, two.frame_errors, two.ser, two.fer,
+         two.iterations_mean, two.iterations_max)
 
     _report("08 property suites", True,
             "field axioms, psi rows, multinomial oracles, naive CN x1000, "

@@ -140,7 +140,8 @@ def test_simulate_csv_grid(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("# smpdec")
-    assert lines[2] == "epsilon,frames,symbol_errors,ser,fer"
+    assert lines[2] == ("epsilon,frames,symbol_errors,ser,fer,"
+                        "iterations_mean,iterations_max")
     assert len(lines) == 5
     assert int(lines[3].split(",")[1]) == 2
 
@@ -150,7 +151,7 @@ def test_simulate_json_row_key_order(capsys):
     rows = json.loads(capsys.readouterr().out)["results"]
     assert [list(row) for row in rows] == [
         ["epsilon", "frames", "symbol_errors", "frame_errors", "ser", "fer",
-         "wall_time"]] * 2
+         "iterations_mean", "iterations_max", "wall_time"]] * 2
 
 
 def test_simulate_plot_renders_file(tmp_path):

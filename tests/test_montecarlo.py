@@ -18,7 +18,7 @@ def small_code():
 
 def _fields(res: SimResult) -> tuple:
     return (res.frames_run, res.symbol_errors, res.frame_errors, res.ser,
-            res.fer)
+            res.fer, res.iterations_mean, res.iterations_max)
 
 
 def test_noiseless_channel_gives_zero_errors(small_code):
@@ -28,6 +28,8 @@ def test_noiseless_channel_gives_zero_errors(small_code):
     assert res.frames_run == 3
     assert res.symbol_errors == 0 and res.frame_errors == 0
     assert res.ser == 0.0 and res.fer == 0.0
+    # the channel word repeats without a tie, and w = 1 throughout
+    assert res.iterations_mean == 1.0 and res.iterations_max == 1
 
 
 def test_deterministic_across_worker_counts(small_code):
@@ -84,6 +86,7 @@ def test_rates_are_consistent(small_code):
     n = small_code.n
     assert res.ser == pytest.approx(res.symbol_errors / (res.frames_run * n))
     assert res.fer == pytest.approx(res.frame_errors / res.frames_run)
+    assert 1 <= res.iterations_mean <= res.iterations_max <= 10
     assert res.wall_time >= 0.0
 
 
@@ -115,11 +118,13 @@ def test_sweep_and_csv(small_code):
         res = simulate(small_code, eps, l_max=10, stop=stop, seed=6)
         rows.append({"epsilon": eps, "frames": res.frames_run,
                      "symbol_errors": res.symbol_errors, "ser": res.ser,
-                     "fer": res.fer})
+                     "fer": res.fer, "iterations_mean": res.iterations_mean,
+                     "iterations_max": res.iterations_max})
     config = {"command": "simulate", "version": __version__, "options": {}}
     text = _render(config, "csv", rows, RESULT_COLUMNS)
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    assert lines[0] == "epsilon,frames,symbol_errors,ser,fer"
+    assert lines[0] == ("epsilon,frames,symbol_errors,ser,fer,"
+                        "iterations_mean,iterations_max")
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 0.05

@@ -420,8 +420,17 @@ def test_vn_update_and_decision_match_scoreboard(case):
 # ----------------------------------------------------------------------
 
 def _eps_for_weight(q: int, xi: float, w: float) -> float:
-    """eps with D(eps) = w D(xi), by bisection (D falls as eps grows)."""
-    target = w * weight_D(q, xi)
+    """eps with D(eps) = w D(xi)."""
+    return _prob_with_D(q, w * weight_D(q, xi))
+
+
+def _xi_for_weight(q: int, eps: float, w: float) -> float:
+    """xi with D(eps) / D(xi) = w."""
+    return _prob_with_D(q, weight_D(q, eps) / w)
+
+
+def _prob_with_D(q: int, target: float) -> float:
+    """p with D(p) = target > 0, by bisection (D falls as p grows)."""
     lo, hi = 1e-12, (q - 1) / q - 1e-12
     for _ in range(200):
         mid = (lo + hi) / 2
@@ -574,20 +583,36 @@ def test_decode_matches_scalar_reference_pipeline():
     assert res.tie_events == tuple(ties)
 
 
+def _class_settled(code, eps, schedule, l_max):
+    """First iteration from which w = D(eps)/D(xi) keeps its place among
+    the vote counts 1..dv up to l_max: between the same two counts (or
+    below 1, or above dv), or on the same one."""
+    def place(it):
+        w = weight_ratio(code.field.q, eps, schedule.value_at(it))
+        return min(math.floor(w), code.dv), min(math.ceil(w), code.dv + 1)
+
+    settled = l_max
+    while settled > 1 and place(settled - 1) == place(l_max):
+        settled -= 1
+    return settled
+
+
 def _stepwise_decode(code, y, eps, schedule, l_max, seed):
     """decode without its early exit: every update of every iteration.
 
-    Also lists, with their tie counts, the iterations at or past the end
-    of the schedule whose messages repeat the previous ones.
+    Also lists, with their tie counts, the iterations whose messages
+    repeat the previous ones, from the one where the place of w among
+    the vote counts settles on.
     """
     gen = np.random.default_rng(seed)
     mu_vc = y[edge_vn(code)]
+    settled = _class_settled(code, eps, schedule, l_max)
     ties, repeats = [], []
     for it in range(1, l_max):
         sent, t = vn_update(code, cn_update(code, mu_vc), y, eps,
                             schedule.value_at(it), gen)
         ties.append(t)
-        if it >= len(schedule.xi_values) and np.array_equal(sent, mu_vc):
+        if it >= settled and np.array_equal(sent, mu_vc):
             repeats.append((it, t))
         mu_vc = sent
     decided, t = _decision(code, cn_update(code, mu_vc), y, eps,
@@ -628,6 +653,82 @@ def test_decode_early_exit_matches_every_iteration(m, n, code_seed, eps,
     else:
         assert res.iterations == fixed[0] < l_max
         assert (np.count_nonzero(decided) == 0) == (eps < 0.1)
+
+
+def _exit_iteration(ties, repeats, l_max):
+    """Where decode stops: at the first tie-free repeat from the settled
+    iteration on, or at l_max when there is none or the final decision
+    ties (it would tie at every such repeat too)."""
+    fixed = [it for it, t in repeats if t == 0]
+    return fixed[0] if fixed and not ties[-1] else l_max
+
+
+def test_decode_runs_on_past_a_repeat_until_the_class_settles():
+    # GF(2), one flipped symbol. With w < 1 the flip is voted away and
+    # the all-zero messages repeat without a tie from iteration 2 on.
+    # From iteration 8, w > dv: the channel word wins every vote, so the
+    # messages become y and the decision is y, not the codeword.
+    code = sample_code(72, 3, 6, F2, seed=17)
+    y = np.zeros(72, dtype=np.int32)
+    y[5] = 1
+    sched = XiSchedule((0.01,) * 7 + (0.4,))
+    assert weight_ratio(2, 0.1, 0.01) < 1 and weight_ratio(2, 0.1, 0.4) > 3
+    res = decode(code, y, 0.1, sched, 12, rng=3)
+    decided, ties, repeats = _stepwise_decode(code, y, 0.1, sched, 12, 3)
+    assert np.array_equal(res.decided, decided)
+    assert np.array_equal(decided, y)
+    assert res.tie_events == ties == (0,) * 12
+    assert res.iterations == _exit_iteration(ties, repeats, 12) == 9
+
+
+def test_decode_exits_before_a_constant_class_schedule_ends():
+    # 60 distinct schedule values, all with 1 < w < 2: the frame decodes
+    # within a few iterations and stops there, not past the 60th
+    eps, l_max = 0.03, 80
+    code = sample_code(120, 3, 6, F4, seed=43)
+    sched = XiSchedule(tuple(_xi_for_weight(4, eps, w)
+                             for w in np.linspace(1.2, 1.8, 60)))
+    y = transmit(np.zeros(120, dtype=np.int32), ChannelParams(F4, eps),
+                 np.random.default_rng(9))
+    assert np.count_nonzero(y)
+    res = decode(code, y, eps, sched, l_max, rng=4)
+    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max, 4)
+    assert np.array_equal(res.decided, decided)
+    assert np.count_nonzero(decided) == 0
+    assert res.tie_events == ties
+    assert res.iterations == _exit_iteration(ties, repeats, l_max) < 60
+
+
+_ENSEMBLES = ((2, 4, 16), (3, 6, 24), (4, 6, 18))
+
+
+@st.composite
+def _decode_cases(draw):
+    """A small code, a frame and a schedule that may change its class
+    anywhere: values drawn freely or placed on integral weights."""
+    dv, dc, n = draw(st.sampled_from(_ENSEMBLES))
+    q = draw(st.sampled_from((2, 4, 16, 256)))
+    code = sample_code(n, dv, dc, build_field(q.bit_length() - 1),
+                       seed=draw(st.integers(0, 50)))
+    eps = draw(st.floats(0.01, 0.3))
+    xi = st.one_of(st.floats(1e-4, 0.9 * (q - 1) / q),
+                   st.integers(1, dv + 1).map(
+                       lambda k: _xi_for_weight(q, eps, k)))
+    sched = XiSchedule(tuple(draw(st.lists(xi, min_size=1, max_size=12))))
+    y = transmit(np.zeros(n, dtype=np.int32), ChannelParams(code.field, eps),
+                 np.random.default_rng(draw(st.integers(0, 1000))))
+    return code, y, eps, sched, draw(st.integers(1, 25))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_decode_cases())
+def test_decode_matches_stepwise_run(case):
+    code, y, eps, sched, l_max = case
+    res = decode(code, y, eps, sched, l_max, rng=11)
+    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max, 11)
+    assert np.array_equal(res.decided, decided)
+    assert res.tie_events == ties
+    assert res.iterations == _exit_iteration(ties, repeats, l_max)
 
 
 def test_decode_does_not_exit_on_repeated_tied_messages():
