@@ -198,8 +198,6 @@ def multinomial_max_eq_count_dist(k: int, s: int, t: int) -> list[float]:
 
 def _binom_pmf(j: int, n: int, p: float) -> float:
     """Binomial pmf, exact combinatorics for small n, log-space beyond."""
-    if j < 0 or j > n:
-        return 0.0
     if p <= 0.0:
         return 1.0 if j == 0 else 0.0
     if p >= 1.0:
@@ -217,9 +215,11 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
 
     The outgoing message is the symbol maximizing (vote count) + w for
     the observed symbol, w = D(epsilon)/D(xi), ties broken uniformly.
-    The walk runs over the vote counts of the sent and the observed
-    symbol. At each event the sent symbol and c - 1 other named symbols
-    share the score t, while k further cells share s votes.
+    One loop per observation walks the f0 votes on the sent symbol; on a
+    wrong observation an outer loop first takes the f1 votes on the
+    observed cell, and f0 = f1 + w (integral w only) ties the two. At
+    each event the sent symbol and c - 1 other named symbols share the
+    score t, while k further cells share s votes.
     ``_tie_pay(k, s, t, c, exact_r)`` pays the event; the exact step's
     exact_r = dv pays every event exactly, and for dv <= 6 the bounded
     step's does so except at integral weights.
@@ -235,7 +235,6 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     # weight_ratio snaps near-integral weights, so only an integral w
     # lets the channel symbol tie a vote count
     tie = w.is_integer()
-    w_floor = math.floor(w)
     s_tot = dv - 1
     k = q - 1
     lo = up = 0.0
@@ -244,18 +243,14 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     # fall uniformly on the k wrong cells; the sent symbol scores f0 + w
     for f0 in range(s_tot + 1):
         pf = _binom_pmf(f0, s_tot, 1.0 - xi) * (1.0 - epsilon)
-        if pf == 0.0:
-            continue
         s = s_tot - f0
-        if not tie:
-            win = multinomial_max_cdf(k, s, f0 + w_floor)
-            lo += pf * win
-            up += pf * win
-        else:
-            t = f0 + w_floor
+        t = f0 + math.floor(w)
+        if tie:
             p_lo, p_up = _tie_pay(k, s, t, 1, exact_r)
-            lo += pf * p_lo
-            up += pf * p_up
+        else:
+            p_lo = p_up = multinomial_max_cdf(k, s, t)
+        lo += pf * p_lo
+        up += pf * p_up
 
     # wrong observation: one wrong cell carries the channel weight; by
     # symmetry its identity is irrelevant, so it stands for all of them
@@ -263,27 +258,17 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     for f1 in range(s_tot + 1):
         pf1 = _binom_pmf(f1, s_tot, p_cell1) * epsilon
         if pf1 == 0.0:
+            # adds nothing, and at q = 2, xi = 1 keeps pc from 0 / 0
             continue
         rem = s_tot - f1
         pc = (1.0 - xi) / (1.0 - p_cell1) if rem else 1.0
-        f0_min = f1 + w_floor + 1
-        for f0 in range(f0_min, rem + 1):
+        for f0 in range(f1 + math.ceil(w), rem + 1):
             pf0 = _binom_pmf(f0, rem, pc) * pf1
-            if pf0 == 0.0:
-                continue
+            c = 2 if f0 == f1 + w else 1
             # the sent symbol must also beat the q - 2 remaining cells
-            s = rem - f0
-            p_lo, p_up = _tie_pay(k - 1, s, f0, 1, exact_r)
+            p_lo, p_up = _tie_pay(k - 1, rem - f0, f0, c, exact_r)
             lo += pf0 * p_lo
             up += pf0 * p_up
-        if tie and f1 + w_floor <= rem:
-            a1 = f1 + w_floor
-            pf0 = _binom_pmf(a1, rem, pc) * pf1
-            if pf0 > 0.0:
-                # sent symbol ties the observed one; both join the argmax
-                p_lo, p_up = _tie_pay(k - 1, rem - a1, a1, 2, exact_r)
-                lo += pf0 * p_lo
-                up += pf0 * p_up
 
     # summation rounding can carry a sure win past 1
     return min(lo, 1.0), min(up, 1.0)

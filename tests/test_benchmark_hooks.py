@@ -36,6 +36,11 @@ def test_every_wrapped_target_is_callable(layers):
         assert callable(getattr(owner, attr, None)), (owner, attr, span)
 
 
+def test_ball_count_cache_can_be_cleared():
+    # workloads.Grid.run clears it before every cell for a cold DE cache
+    assert callable(smpdec.de._capped_assignments.cache_clear)
+
+
 @pytest.mark.parametrize("result_type, name", [
     (SimResult, "symbol_errors"),   # workloads.Decode.run
     (SimResult, "frame_errors"),

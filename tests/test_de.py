@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from smpdec.channel import weight_D
+from smpdec.channel import weight_D, weight_ratio
 from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
                        _xi_bounds, cn_step, de_run, multinomial_max_cdf,
                        multinomial_max_eq_count_dist, resolve_mode,
@@ -234,6 +234,7 @@ def test_max_cdf_trivial():
     assert multinomial_max_cdf(3, 2, 1) == pytest.approx(2 / 3)
     assert multinomial_max_cdf(2, 4, 2) == pytest.approx(6 / 16)
     assert multinomial_max_cdf(4, 9, 2) == 0.0  # k*t < s
+    assert multinomial_max_cdf(0, 2, 5) == 0.0  # no cell to hold a ball
 
 
 def test_max_cdf_matches_enumeration():
@@ -394,6 +395,43 @@ def test_vn_bounded_integral_weight_sandwich():
         assert exact <= bound.upper + 1e-10
 
 
+# Frozen variable-node steps at non-integral weights: (xi, eps, dv, q,
+# exact, bounded lower, bounded upper) in float hex; q = 2 has no bounded
+# step. xi = 1 at q = 2 leaves the observed cell sure to hold every vote.
+FROZEN_VN_STEPS = [
+    (0.0, 0.1, 3, 4, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0"),
+    (1.0, 0.3, 4, 2, "0x1.6666666666666p-1", None, None),
+    (0.2, 0.1, 3, 2, "0x1.db22d0e56041ap-1", None, None),
+    (0.05, 0.03, 5, 2, "0x1.ff8bb0a2ca9abp-1", None, None),
+    (0.3, 0.12, 3, 4, "0x1.d32617c1bda51p-1", "0x1.d32617c1bda51p-1",
+     "0x1.d32617c1bda51p-1"),
+    (0.15, 0.2, 5, 4, "0x1.f8b0c88a47ecep-1", "0x1.f8b0c88a47ecep-1",
+     "0x1.f8b0c88a47ecep-1"),
+    (0.35, 0.3, 7, 4, "0x1.dd103a7546d3ep-1", "0x1.dd103a7546d3ep-1",
+     "0x1.dd103a7546d3ep-1"),
+    (0.4, 0.05, 6, 64, "0x1.fc92ae6e52204p-1", "0x1.fc92ae6e52204p-1",
+     "0x1.fc92ae6e52204p-1"),
+    (0.1, 0.3, 7, 64, "0x1.fffad209739dcp-1", "0x1.fffad209739dcp-1",
+     "0x1.fffae036d77b0p-1"),
+    (0.25, 0.4, 4, 512, "0x1.e4a8bf9565801p-1", "0x1.e4a8bf9565801p-1",
+     "0x1.e4a8bf9565801p-1"),
+    (0.6, 0.5, 7, 512, "0x1.c2d873d4f8ebep-1", "0x1.c2d873d4f8ebep-1",
+     "0x1.c2d873d4f8ebep-1"),
+    (0.0, 0.2, 6, 512, "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     "0x1.0000000000000p+0"),
+]
+
+
+@pytest.mark.parametrize("xi,eps,dv,q,exact,lower,upper", FROZEN_VN_STEPS)
+def test_vn_steps_match_frozen_values(xi, eps, dv, q, exact, lower, upper):
+    assert not weight_ratio(q, eps, xi).is_integer()
+    assert vn_step_exact(xi, eps, dv, q).hex() == exact
+    if q > 2:
+        bound = vn_step_bounded(xi, eps, dv, q)
+        assert (bound.lower.hex(), bound.upper.hex()) == (lower, upper)
+
+
 # ----------------------------------------------------------------------
 # de_run
 # ----------------------------------------------------------------------
@@ -541,3 +579,14 @@ def test_de_run_validates_inputs():
             (de_run, (3, 5, 4, 0.05, 0), "l_max must be positive, got 0")):
         with pytest.raises(ValueError, match=re.escape(message)):
             func(*args)
+
+
+def test_bounded_prob_snaps_rejects_and_clamps():
+    # a lower end above the upper one by rounding alone (<= 1e-9) snaps
+    # the upper end to it; a larger gap is an error
+    snapped = BoundedProb(0.5 + 5e-10, 0.5)
+    assert snapped.lower == snapped.upper == 0.5 + 5e-10
+    with pytest.raises(ValueError, match="exceeds upper"):
+        BoundedProb(0.5 + 2e-9, 0.5)
+    clamped = BoundedProb(-0.25, 1.5)
+    assert (clamped.lower, clamped.upper) == (0.0, 1.0)
