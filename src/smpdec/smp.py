@@ -17,14 +17,21 @@ kernel keys every node by the equality pattern of its candidates and
 reads the tie set of each outgoing slot, and of the final decision,
 from a table that scores one representative candidate row per pattern.
 
-A frame stops early at a tie-free fixed point. Once the weight class
-(where w falls among the vote counts) no longer changes up to l_max,
-every later iteration applies the same map from check messages to
-messages. So when such an iteration sends the same messages as the one
-before it with no tie, the next iteration sees the same check messages
-and the same class, so it repeats those messages without a tie, and so
-does every later one; if the decision from those check messages has no
-tie either, it is the decision of the last iteration.
+A frame stops early once its messages cycle without a tie. Once the
+weight class (where w falls among the vote counts) no longer changes up
+to l_max, every later iteration applies the same map from messages to
+messages, and an iteration with no tie reads none of its draws. So
+when an iteration sends the messages sent p iterations before, with no
+tie and no class change in between, the next iteration repeats the one
+p before it without a tie, and so does every later one: the messages
+cycle with period p up to l_max. Iteration l_max then reads the check
+messages of each cycle iteration a multiple of p before it; if the
+decision from those has no tie, it is the decision of the last
+iteration. A fixed point is the cycle of period 1. The repeat is found
+by comparing each iteration's messages with the previous ones and with
+one stored earlier message array, which moves forward after 1, 2, 4,
+... iterations (Brent's cycle detection), so it costs one message
+array of memory.
 """
 
 from __future__ import annotations
@@ -254,7 +261,8 @@ def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class DecodeResult:
     """Final decisions, the tie count of every iteration, and the number
-    of iterations run (below l_max when the frame stopped early)."""
+    of iterations run (below l_max when the frame stopped early at a
+    tie-free fixed point or message cycle)."""
 
     decided: np.ndarray
     tie_events: tuple
@@ -276,18 +284,24 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
 
     Variable nodes read each outgoing message from a table indexed by
     the equality pattern of their candidates (see the module docstring).
-    The run stops after iteration it < l_max when the weight class of
-    every iteration from it to l_max is the same, its messages equal
-    those of iteration it - 1 (the channel word for it = 1), none of
-    them tied, and the decision from its check messages has no tie.
-    Every later iteration would then read the same pattern table and
-    the same check messages, so it would repeat those messages without
-    a tie and never read its draws; the decision at l_max sees the same
-    class and check messages too. So that decision is returned, the
-    remaining tie counts are zeros and ``iterations`` is it. The
-    decisions and tie counts equal those of the full run; a Generator
-    passed as rng is left in a different state, having made none of the
-    skipped iterations' draws.
+    The run stops early on a message cycle. Let iteration t send the
+    messages of iteration t - p (the channel word is iteration 0), with
+    no tie in iterations t - p + 1 to t and the weight class of every
+    iteration from t - p + 1 to l_max the same. Every later iteration
+    then reads the same pattern table and repeats the one p before it
+    without a tie, never reading its draws. So iteration l_max reads the
+    check messages of every iteration it >= t with (l_max - it) % p ==
+    0; the run stops at the first such it < l_max if the decision from
+    its check messages has no tie, returning that decision with zeros
+    as the remaining tie counts and it as ``iterations``. A tied
+    decision would tie at l_max too and draw, so the run goes on. p = 1
+    is tested against the previous iteration's messages, so a fixed
+    point stops where it repeats; longer periods against one stored
+    message array, moved to the current messages after 1, 2, 4, ...
+    iterations and whenever an iteration ties or precedes the settled
+    class. The decisions and tie counts equal those of the full run; a
+    Generator passed as rng is left in a different state, having made
+    none of the skipped iterations' draws.
     """
     y = np.asarray(y)
     if y.shape != (code.n,):
@@ -306,14 +320,27 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     mu_vc = np.repeat(y, code.dv)
     settled = _settled_iteration(schedule, code.field.q, epsilon, code.dv,
                                  l_max)
+    # anchor: the messages of iteration at, with no tie and no class
+    # change after it; it moves on after span iterations, span doubling
+    anchor, at, span, period = mu_vc, 0, 1, 0
     tie_events = []
     for it in range(1, l_max):
         mu_cv = cn_update(code, mu_vc)
         xi = schedule.value_at(it)
         sent, ties = vn_update(code, mu_cv, y, epsilon, xi, gen)
         tie_events.append(ties)
-        if ties == 0 and it >= settled and np.array_equal(sent, mu_vc):
-            # without a tie the draws cannot matter, so none are made
+        if ties or it < settled:
+            anchor, at, span = sent, it, 1
+        elif not period:
+            if np.array_equal(sent, mu_vc):
+                period = 1
+            elif np.array_equal(sent, anchor):
+                period = it - at
+            elif it - at == span:
+                anchor, at, span = sent, it, 2 * span
+        if period and (l_max - it) % period == 0:
+            # mu_cv are the check messages of iteration l_max; without a
+            # tie the draws cannot matter, so none are made
             decided, ties = _decision(code, mu_cv, y, epsilon, xi,
                                       np.zeros(code.n))
             if ties == 0:
@@ -321,6 +348,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
                 return DecodeResult(decided=decided,
                                     tie_events=tuple(tie_events),
                                     iterations=it)
+            period = l_max  # the decision at l_max ties: no iteration exits
         mu_vc = sent
     mu_cv = cn_update(code, mu_vc)
     decided, ties = _decision(code, mu_cv, y, epsilon,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import edge_vn, gf_inv, gf_mul
@@ -600,25 +600,53 @@ def _class_settled(code, eps, schedule, l_max):
 def _stepwise_decode(code, y, eps, schedule, l_max, seed):
     """decode without its early exit: every update of every iteration.
 
-    Also lists, with their tie counts, the iterations whose messages
-    repeat the previous ones, from the one where the place of w among
-    the vote counts settles on.
+    Also returns the messages sent by iterations 0 (the channel word)
+    to l_max - 1.
     """
     gen = np.random.default_rng(seed)
-    mu_vc = y[edge_vn(code)]
-    settled = _class_settled(code, eps, schedule, l_max)
-    ties, repeats = [], []
+    msgs = [y[edge_vn(code)]]
+    ties = []
     for it in range(1, l_max):
-        sent, t = vn_update(code, cn_update(code, mu_vc), y, eps,
+        sent, t = vn_update(code, cn_update(code, msgs[-1]), y, eps,
                             schedule.value_at(it), gen)
         ties.append(t)
-        if it >= settled and np.array_equal(sent, mu_vc):
-            repeats.append((it, t))
-        mu_vc = sent
-    decided, t = _decision(code, cn_update(code, mu_vc), y, eps,
+        msgs.append(sent)
+    decided, t = _decision(code, cn_update(code, msgs[-1]), y, eps,
                            schedule.value_at(l_max), gen.random(code.n))
     ties.append(t)
-    return decided, tuple(ties), repeats
+    return decided, tuple(ties), msgs
+
+
+def _fixed_points(code, eps, schedule, ties, msgs):
+    """Iterations from the settled one on that repeat the previous
+    iteration's messages without a tie."""
+    l_max = len(ties)
+    settled = _class_settled(code, eps, schedule, l_max)
+    return [it for it in range(settled, l_max)
+            if not ties[it - 1] and np.array_equal(msgs[it], msgs[it - 1])]
+
+
+def _check_exit(res, code, eps, schedule, ties, msgs):
+    """Assert that decode stopped only where the full run allows it.
+
+    A frame with a tie-free fixed point from the settled iteration on
+    stops at the first one, unless the final decision ties. An early
+    stop at t needs a tie-free final decision, the messages of t - 1
+    equal to those of l_max - 1, and a repeat among the messages of
+    iterations start - 1 to t, where start is the first iteration from
+    which no iteration before l_max ties or changes the weight class.
+    """
+    l_max, t = len(ties), res.iterations
+    fixed = _fixed_points(code, eps, schedule, ties, msgs)
+    if fixed and not ties[-1]:
+        assert t == fixed[0]
+    if t < l_max:
+        assert not ties[-1]
+        assert np.array_equal(msgs[t - 1], msgs[l_max - 1])
+        start = max([_class_settled(code, eps, schedule, l_max)]
+                    + [it + 1 for it, x in enumerate(ties[:-1], 1) if x])
+        seen = [m.tobytes() for m in msgs[start - 1:t + 1]]
+        assert len(set(seen)) < len(seen)
 
 
 @pytest.mark.parametrize("m, n, code_seed, eps, xi_values, l_max, frame", [
@@ -642,11 +670,12 @@ def test_decode_early_exit_matches_every_iteration(m, n, code_seed, eps,
     y = transmit(np.zeros(n, dtype=np.int32), ChannelParams(field, eps),
                  np.random.default_rng(frame))
     res = decode(code, y, eps, sched, l_max, rng=frame + 1000)
-    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max,
-                                              frame + 1000)
+    decided, ties, msgs = _stepwise_decode(code, y, eps, sched, l_max,
+                                           frame + 1000)
     assert np.array_equal(res.decided, decided)
     assert res.tie_events == ties
-    fixed = [it for it, t in repeats if t == 0]
+    _check_exit(res, code, eps, sched, ties, msgs)
+    fixed = _fixed_points(code, eps, sched, ties, msgs)
     assert fixed, "the frame reaches a tie-free message fixed point"
     if ties[-1]:
         assert res.iterations == l_max
@@ -655,12 +684,26 @@ def test_decode_early_exit_matches_every_iteration(m, n, code_seed, eps,
         assert (np.count_nonzero(decided) == 0) == (eps < 0.1)
 
 
-def _exit_iteration(ties, repeats, l_max):
-    """Where decode stops: at the first tie-free repeat from the settled
-    iteration on, or at l_max when there is none or the final decision
-    ties (it would tie at every such repeat too)."""
-    fixed = [it for it, t in repeats if t == 0]
-    return fixed[0] if fixed and not ties[-1] else l_max
+@pytest.mark.parametrize("frame, stop", [(192, 10), (80, 30), (196, 16),
+                                         (264, 28)])
+def test_decode_cycle_exit_matches_every_iteration(frame, stop):
+    # (3,6) GF(256) above threshold: from early on the frame's messages
+    # cycle without a tie (period 2 for frame 192) and never repeat the
+    # previous iteration's, so only the cycle exit stops it before l_max
+    field, n, eps, l_max = build_field(8), 480, 0.15, 100
+    code = sample_code(n, 3, 6, field, seed=1)
+    sched = XiSchedule.from_trace(de_run(3, 6, field.q, eps, l_max=l_max))
+    y = transmit(np.zeros(n, dtype=np.int32), ChannelParams(field, eps),
+                 np.random.default_rng(frame))
+    res = decode(code, y, eps, sched, l_max, rng=frame + 1000)
+    decided, ties, msgs = _stepwise_decode(code, y, eps, sched, l_max,
+                                           frame + 1000)
+    assert np.array_equal(res.decided, decided)
+    assert res.tie_events == ties
+    _check_exit(res, code, eps, sched, ties, msgs)
+    assert not any(np.array_equal(msgs[it], msgs[it - 1])
+                   for it in range(1, l_max))
+    assert res.iterations == stop < l_max
 
 
 def test_decode_runs_on_past_a_repeat_until_the_class_settles():
@@ -674,11 +717,12 @@ def test_decode_runs_on_past_a_repeat_until_the_class_settles():
     sched = XiSchedule((0.01,) * 7 + (0.4,))
     assert weight_ratio(2, 0.1, 0.01) < 1 and weight_ratio(2, 0.1, 0.4) > 3
     res = decode(code, y, 0.1, sched, 12, rng=3)
-    decided, ties, repeats = _stepwise_decode(code, y, 0.1, sched, 12, 3)
+    decided, ties, msgs = _stepwise_decode(code, y, 0.1, sched, 12, 3)
     assert np.array_equal(res.decided, decided)
     assert np.array_equal(decided, y)
     assert res.tie_events == ties == (0,) * 12
-    assert res.iterations == _exit_iteration(ties, repeats, 12) == 9
+    _check_exit(res, code, 0.1, sched, ties, msgs)
+    assert res.iterations == 9
 
 
 def test_decode_exits_before_a_constant_class_schedule_ends():
@@ -692,11 +736,12 @@ def test_decode_exits_before_a_constant_class_schedule_ends():
                  np.random.default_rng(9))
     assert np.count_nonzero(y)
     res = decode(code, y, eps, sched, l_max, rng=4)
-    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max, 4)
+    decided, ties, msgs = _stepwise_decode(code, y, eps, sched, l_max, 4)
     assert np.array_equal(res.decided, decided)
     assert np.count_nonzero(decided) == 0
     assert res.tie_events == ties
-    assert res.iterations == _exit_iteration(ties, repeats, l_max) < 60
+    _check_exit(res, code, eps, sched, ties, msgs)
+    assert res.iterations < 60
 
 
 _ENSEMBLES = ((2, 4, 16), (3, 6, 24), (4, 6, 18))
@@ -720,15 +765,33 @@ def _decode_cases(draw):
     return code, y, eps, sched, draw(st.integers(1, 25))
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
-@given(_decode_cases())
+@st.composite
+def _cycle_cases(draw):
+    """A (3,6) GF(16) frame above threshold with 1 < w < 2 throughout:
+    more than one in ten of these stop on a message cycle of period 2
+    or more, which the cases above rarely reach."""
+    code = sample_code(24, 3, 6, build_field(4),
+                       seed=draw(st.integers(0, 50)))
+    eps = draw(st.floats(0.15, 0.3))
+    xi = st.floats(1.05, 1.95).map(lambda w: _xi_for_weight(16, eps, w))
+    sched = XiSchedule(tuple(draw(st.lists(xi, min_size=1, max_size=12))))
+    y = transmit(np.zeros(24, dtype=np.int32), ChannelParams(code.field, eps),
+                 np.random.default_rng(draw(st.integers(0, 1000))))
+    return code, y, eps, sched, draw(st.integers(1, 60))
+
+
+@settings(derandomize=True, deadline=None, max_examples=240)
+@given(_decode_cases() | _cycle_cases())
 def test_decode_matches_stepwise_run(case):
     code, y, eps, sched, l_max = case
     res = decode(code, y, eps, sched, l_max, rng=11)
-    decided, ties, repeats = _stepwise_decode(code, y, eps, sched, l_max, 11)
+    decided, ties, msgs = _stepwise_decode(code, y, eps, sched, l_max, 11)
     assert np.array_equal(res.decided, decided)
     assert res.tie_events == ties
-    assert res.iterations == _exit_iteration(ties, repeats, l_max)
+    _check_exit(res, code, eps, sched, ties, msgs)
+    if res.iterations < l_max and \
+            res.iterations not in _fixed_points(code, eps, sched, ties, msgs):
+        event("exit on a cycle of period 2 or more")
 
 
 def test_decode_does_not_exit_on_repeated_tied_messages():
@@ -740,11 +803,32 @@ def test_decode_does_not_exit_on_repeated_tied_messages():
     y[0] = 1
     sched = XiSchedule([0.1])
     res = decode(code, y, 0.1, sched, 10, rng=28)
-    decided, ties, repeats = _stepwise_decode(code, y, 0.1, sched, 10, 28)
-    assert repeats[0] == (1, ties[0]) and ties[0] > 0
+    decided, ties, msgs = _stepwise_decode(code, y, 0.1, sched, 10, 28)
+    assert np.array_equal(msgs[1], msgs[0]) and ties[0] > 0
     assert np.array_equal(res.decided, decided)
     assert res.tie_events == ties
     assert res.iterations > 1
+
+
+def test_decode_does_not_exit_on_a_repeat_across_a_tie():
+    # GF(2) at w = 2 with one flipped symbol: its node's outgoing
+    # messages tie, two zero votes against the channel's weight 2. With
+    # rng 1001 iterations 2, 4 and 6 send the channel word again, 2 and
+    # 6 without a tie, but each odd iteration between them ties, so the
+    # draws, not the messages, decide what follows: the repeat is no
+    # cycle
+    code = sample_code(24, 3, 6, F2, seed=12)
+    y = np.zeros(24, dtype=np.int32)
+    y[9] = 1
+    sched = XiSchedule((_xi_for_weight(2, 0.1, 2),))
+    res = decode(code, y, 0.1, sched, 20, rng=1001)
+    decided, ties, msgs = _stepwise_decode(code, y, 0.1, sched, 20, 1001)
+    assert all(np.array_equal(msgs[it], y[edge_vn(code)]) for it in (2, 4, 6))
+    assert ties[1] == ties[5] == 0 and ties[0] and ties[2] and ties[4]
+    assert np.array_equal(res.decided, decided)
+    assert res.tie_events == ties
+    _check_exit(res, code, 0.1, sched, ties, msgs)
+    assert res.iterations == 20
 
 
 def test_decode_coset_symmetry_is_exact():
