@@ -82,6 +82,11 @@ class CodeGraph:
         """Edge permutation that groups edges by CN (dc consecutive each)."""
         return np.argsort(self.edge_cn, kind="stable")
 
+    @cached_property
+    def cn_starts(self) -> np.ndarray:
+        """Offset of each CN's first edge in ``cn_edge_perm`` order."""
+        return np.arange(0, self.n * self.dv, self.dc)
+
 
 def check_degrees(dv: int, dc: int) -> None:
     """Reject degrees outside the ensembles analysed: 2 <= dv < dc.

@@ -16,6 +16,12 @@ on the tie draw; not on q or on the symbol values. So the variable-node
 kernel keys every node by the equality pattern of its candidates and
 reads the tie set of each outgoing slot, and of the final decision,
 from a table that scores one representative candidate row per pattern.
+The candidates of all nodes form one slot-major (dv + 1, n) block. A
+node's key is the sum over its candidates i of i! times the first
+candidate equal to candidate i, found in a fixed number of array passes
+whatever dv is: one equality cube, a bit mask per candidate and a bit
+count of its lowest set bit. As that index is at most i, the key lies
+below (dv + 1)!, the table's row count.
 
 A frame stops early once its messages cycle without a tie. Once the
 weight class (where w falls among the vote counts) no longer changes up
@@ -94,13 +100,13 @@ def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
     Each CN first forms the total T of its labeled inputs, then every
     edge receives inv(label) * (T - label * message): one pass instead
     of a per-edge sum, costing 2 dc - 1 additions and 2 dc products per
-    CN. The inverse labels are computed once per graph.
+    CN. The inverse labels and the CN grouping are computed once per
+    graph.
     """
     f = code.field
     labeled = f.mul_vec(code.edge_label, np.asarray(vn_to_cn))
-    perm = code.cn_edge_perm
-    starts = np.arange(0, labeled.size, code.dc)
-    totals = np.bitwise_xor.reduceat(labeled[perm], starts)
+    totals = np.bitwise_xor.reduceat(labeled[code.cn_edge_perm],
+                                     code.cn_starts)
     extrinsic = np.bitwise_xor(totals[code.edge_cn], labeled)
     return f.mul_vec(code.inv_label, extrinsic)
 
@@ -135,15 +141,18 @@ def _settled_iteration(schedule: XiSchedule, q: int, epsilon: float,
 def _pattern_table(dv: int, weight_class: int) -> np.ndarray:
     """Tie sets of every equality pattern of dv + 1 candidates.
 
-    Row ``_pattern_key(cand)`` holds, for each extrinsic view j < dv
-    (slot j's vote left out) and then for the decision (all votes), the
-    tie count followed by the tied slots in slot order, counting the
-    first occurrence of each symbol only. Each pattern is scored with
-    its own restricted-growth string as the candidate row and the
-    class's midpoint or integer as w. The weights ``weight_ratio``
-    returns lie above 1e-13 and, unless integral, more than 1e-9 from
-    every integer, so c + w compares with every count c' <= MAX_DV as
-    the real numbers do and one table serves the whole class.
+    The row of a pattern's key (``_pattern_key``) holds, for each
+    extrinsic view j < dv (slot j's vote left out) and then for the
+    decision (all votes), the tie count followed by the tied slots in
+    slot order, counting the first occurrence of each symbol only. Each
+    pattern is scored with its own restricted-growth string as the
+    candidate row and the class's midpoint or integer as w; the rows are
+    keyed by the same function as the decoder's candidates, transposed
+    to its slot-major layout. Rows of no pattern stay zero. The weights
+    ``weight_ratio`` returns lie above 1e-13 and, unless integral, more
+    than 1e-9 from every integer, so c + w compares with every count
+    c' <= MAX_DV as the real numbers do and one table serves the whole
+    class.
     """
     if dv > MAX_DV:
         raise ValueError(f"the decoder takes variable node degrees up to "
@@ -163,34 +172,43 @@ def _pattern_table(dv: int, weight_class: int) -> np.ndarray:
                        for j in range(dv)] + [counts + bonus], axis=1)
     tied = (scores == scores.max(axis=2, keepdims=True)) & canon[:, None, :]
     table = np.zeros((math.factorial(dv + 1), dv + 1, dv + 2), dtype=np.int8)
-    key = _pattern_key(cand)
+    key = _pattern_key(cand.T)
     table[key, :, 0] = tied.sum(axis=2)
     table[key, :, 1:] = np.argsort(~tied, axis=2, kind="stable")
     table.flags.writeable = False
     return table
 
 
-def _pattern_key(cand: np.ndarray) -> np.ndarray:
-    """Equality pattern of each row of candidates, as a table row.
+@cache
+def _key_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit 2**j of each candidate j, and the place value i! of each
+    candidate i >= 1, for ``_pattern_key`` on ``size`` candidates."""
+    bits = np.left_shift(np.uint8(1), np.arange(size, dtype=np.uint8))
+    places = np.array([math.factorial(i) for i in range(1, size)],
+                      dtype=np.intp)
+    return bits[:, None, None], places
 
-    Candidate i gets the label of the first earlier candidate equal to
-    it, or the next unused label; the labels a_1..a_dv (a_0 = 0) read
-    as a mixed-radix number with place values i! give a key below
-    (dv + 1)!.
+
+def _pattern_key(cand: np.ndarray) -> np.ndarray:
+    """Equality pattern of each column of candidates, as a table row.
+
+    ``cand`` holds one candidate per row, one node per column. Bit j of
+    candidate i's mask is set where candidate j equals it, so its lowest
+    set bit is bit f_i, f_i being the first candidate equal to candidate
+    i, and the bits below it count f_i. The key is the sum of i! f_i over i >= 1
+    (f_0 = 0): a mixed-radix number whose digit f_i <= i, so equal
+    patterns give equal keys, distinct patterns distinct keys, and every
+    key is at most the sum of i! i, that is (dv + 1)! - 1. The masks fit
+    in uint8 up to 8 candidates (dv = MAX_DV).
     """
-    n, size = cand.shape
-    labels = [np.zeros(n, dtype=np.int8)]
-    fresh = np.ones(n, dtype=np.int8)
-    key = np.zeros(n, dtype=np.intp)
-    for i in range(1, size):
-        label = fresh.copy()
-        for j in range(i):
-            # branch-free np.where(equal, labels[j], label)
-            label -= (cand[:, j] == cand[:, i]) * (label - labels[j])
-        fresh += label == fresh
-        key += label * np.intp(math.factorial(i))
-        labels.append(label)
-    return key
+    bits, places = _key_weights(cand.shape[0])
+    eq = (cand[:, None] == cand[None, 1:]).view(np.uint8)
+    eq *= bits
+    mask = eq.sum(axis=0, dtype=np.uint8)
+    del eq
+    mask &= -mask  # the lowest set bit, 2**f_i
+    mask -= 1
+    return places @ np.bitwise_count(mask)
 
 
 def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
@@ -203,26 +221,35 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     ``u`` has one uniform draw per selected row. Of a tie set of size s,
     entry min(floor(u * s), s - 1) in slot order is returned; without a
     tie that is the first tied slot, so only ties read their draws.
-    The winners are gathered from the flattened candidate array through
-    one intp index array, each node's row offset plus its winning slot,
-    into which the tied picks are written; an int32 index would be cast
-    to a second, intp copy by the gather.
+    The candidates form one slot-major (dv + 1, n) block, so slot j of
+    node v sits at flat index j * n + v. The winners are gathered
+    through one intp array of such indices; the tied picks read their
+    sizes, draws and slots with 1-D takes at flat offsets into the
+    table rows and are written into it with one flat scatter. An int32
+    index would be cast to a second, intp copy by the gather.
     """
     n, dv = code.n, code.dv
-    cand = np.empty((n, dv + 1), dtype=np.int32)
-    cand[:, :dv] = np.asarray(cn_to_vn).reshape(n, dv)
-    cand[:, dv] = y
+    cand = np.empty((dv + 1, n), dtype=np.int32)
+    cand[:dv] = np.asarray(cn_to_vn).reshape(n, dv).T
+    cand[dv] = y
     w = weight_ratio(code.field.q, epsilon, xi)
     table = _pattern_table(dv, _weight_class(w, dv))
-    entry = table.take(_pattern_key(cand), axis=0)[:, rows]
-    ntied = entry[:, :, 0]
-    index = entry[:, :, 1] + np.arange(0, cand.size, dv + 1)[:, None]
+    entry = table.take(_pattern_key(cand), axis=0)
+    ntied = entry[:, rows, 0]
+    index = np.multiply(entry[:, rows, 1], n, dtype=np.intp)
+    index += np.arange(n)[:, None]
     tied = np.flatnonzero(ntied > 1)
     if tied.size:
         v, r = np.divmod(tied, ntied.shape[1])
-        s = ntied[v, r]
-        pick = np.minimum((u[v, r] * s).astype(np.int64), s - 1)
-        index[v, r] = entry[v, r, 1 + pick] + v * (dv + 1)
+        # flat offset of each tied row's tie count in the (n, dv + 1,
+        # dv + 2) block; its tied slots follow it
+        at = (v * (dv + 1) + (r + rows.start)) * (dv + 2)
+        flat = entry.reshape(-1)
+        s = flat.take(at)
+        pick = np.minimum((u.reshape(-1).take(tied) * s).astype(np.intp),
+                          s - 1)
+        index.put(tied, np.multiply(flat.take(at + 1 + pick), n,
+                                    dtype=np.intp) + v)
     del entry, ntied  # freed before the output is allocated: a lower peak
     return cand.reshape(-1).take(index), tied.size
 

@@ -15,11 +15,13 @@ import pytest
 
 import smpdec.channel
 import smpdec.de
+import smpdec.smp
 from smpdec.analysis import find_threshold, table_report
 from smpdec.code import sample_code
 from smpdec.de import DeTrace, de_run
 from smpdec.galois import build_field
 from smpdec.montecarlo import SimResult
+from smpdec.smp import XiSchedule, decode
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -97,3 +99,21 @@ def test_de_steps_are_looked_up_where_the_benchmark_wraps_them(monkeypatch):
     trace = de_run(3, 6, 4, 0.08, mode="bounded")
     assert trace.iterations_run > 0
     assert calls["vn_step_bounded"] == trace.iterations_run
+
+
+def test_decoder_steps_are_looked_up_where_the_benchmark_wraps_them(
+        monkeypatch):
+    # the decode workloads' smp.cn_update and smp.vn_update spans fire
+    # only because decode looks the steps up as smpdec.smp module globals
+    calls = {}
+    for name in ("cn_update", "vn_update"):
+        def counting(*args, _name=name, _step=getattr(smpdec.smp, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _step(*args)
+        monkeypatch.setattr(smpdec.smp, name, counting)
+    code = sample_code(48, 3, 6, build_field(2), seed=1)
+    y = np.random.default_rng(5).integers(0, 4, size=code.n)
+    result = decode(code, y, 0.3, XiSchedule([0.3]), 8, rng=0)
+    # a frame that runs to l_max: the final decision takes its own step
+    assert result.iterations == 8
+    assert calls == {"cn_update": 8, "vn_update": 7}

@@ -31,6 +31,13 @@ def test_sample_code_counts():
     assert np.all(code.edge_label < 4)
 
 
+def test_check_grouping_starts_each_check_once():
+    code = sample_code(10, 3, 5, F4, seed=7)
+    grouped = code.edge_cn[code.cn_edge_perm]
+    assert np.array_equal(grouped[code.cn_starts], np.arange(6))
+    assert np.array_equal(np.repeat(grouped[code.cn_starts], 5), grouped)
+
+
 def test_sample_code_divisibility_error():
     with pytest.raises(ValueError):
         sample_code(10, 3, 4, F4, seed=0)

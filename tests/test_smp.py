@@ -21,7 +21,8 @@ from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import de_run, vn_step_exact
 from smpdec.galois import build_field
-from smpdec.smp import XiSchedule, _decision, cn_update, decode, vn_update
+from smpdec.smp import (MAX_DV, XiSchedule, _decision, _pattern_key,
+                        cn_update, decode, vn_update)
 
 F2 = build_field(1)
 F4 = build_field(2)
@@ -269,6 +270,34 @@ def test_cn_update_matches_naive_oracle():
 # vn_update
 # ----------------------------------------------------------------------
 
+def _restricted_growth_strings(size: int) -> np.ndarray:
+    """Every equality pattern of ``size`` candidates, one per row: each
+    entry is an earlier entry's label or the next unused one."""
+    rows = [[0]]
+    for _ in range(size - 1):
+        rows = [r + [b] for r in rows for b in range(max(r) + 2)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("size", range(2, MAX_DV + 2))
+def test_pattern_key_is_one_table_row_per_pattern(size):
+    patterns = _restricted_growth_strings(size)
+    assert len(patterns) == [2, 5, 15, 52, 203, 877, 4140][size - 2]
+    rng = np.random.default_rng(size)
+    keys = []
+    for high in (size, 2 ** 31 - 1):
+        # each pattern's labels become distinct symbols of its own, with
+        # values up to 2**31 - 2 on the second pass
+        symbols = np.array([rng.choice(high, size, replace=False)
+                            for _ in patterns], dtype=np.int32)
+        cand = np.take_along_axis(symbols, patterns, axis=1)
+        keys.append(_pattern_key(cand.T))
+    assert symbols.max() >= 256
+    assert np.array_equal(keys[0], keys[1])
+    assert np.unique(keys[0]).size == len(patterns)
+    assert keys[0].min() >= 0 and keys[0].max() < math.factorial(size)
+
+
 def test_vn_update_unanimous():
     code = sample_code(8, 3, 4, F4, seed=3)
     y = np.full(8, 2, dtype=np.int32)
@@ -357,6 +386,17 @@ class _FixedUniform:
         return np.full(size, self.u)
 
 
+class _FixedBlock:
+    """Stands in for a Generator whose next uniform block is ``u``."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, size) -> np.ndarray:
+        assert size == self.u.shape
+        return self.u
+
+
 _FIELDS = {2: F2, 4: F4, 8: F8}
 
 
@@ -369,7 +409,7 @@ def _vote_cases(draw):
     from xi = eps exactly, so votes tie each other and the channel."""
     field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
     q = field.q
-    dv = draw(st.integers(2, 6))
+    dv = draw(st.integers(2, MAX_DV))
     dc = draw(st.integers(dv + 1, dv + 3))
     n = dc * draw(st.integers(2, 3))
     code = sample_code(n, dv, dc, field, seed=draw(st.integers(0, 1000)))
@@ -393,6 +433,7 @@ def _vote_cases(draw):
 def test_vn_update_and_decision_match_scoreboard(case):
     code, mu, y, eps, xi = case
     n, dv, q = code.n, code.dv, code.field.q
+    event(f"dv = {dv}")
     boards = [ScoreBoard.from_votes(mu[v * dv:(v + 1) * dv].tolist(),
                                     int(y[v]), eps, xi, q) for v in range(n)]
     edge_ties = [len(b.tie_set(j)) > 1 for b in boards for j in range(dv)]
@@ -413,6 +454,13 @@ def test_vn_update_and_decision_match_scoreboard(case):
                                     for b in boards for j in range(dv)]
             dec, _ = _decision(code, mu, y, eps, xi, np.full(n, u))
             assert dec.tolist() == [b.argmax(u) for b in boards]
+    # each tie reads its own edge's (or node's) draw
+    u = np.random.default_rng(n * dv).random((n, dv))
+    out, _ = vn_update(code, mu, y, eps, xi, _FixedBlock(u))
+    assert out.tolist() == [b.argmax(u[v, j], drop_slot=j)
+                            for v, b in enumerate(boards) for j in range(dv)]
+    dec, _ = _decision(code, mu, y, eps, xi, u[:, 0])
+    assert dec.tolist() == [b.argmax(u[v, 0]) for v, b in enumerate(boards)]
 
 
 # ----------------------------------------------------------------------
