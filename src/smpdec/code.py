@@ -28,7 +28,8 @@ class CodeGraph:
 
     Edges are stored in VN-major order: edge e = v * dv + slot connects
     VN v through its slot-th socket, so the VN endpoints and ``m_checks``
-    are fixed by (n, dv, dc) and not stored.
+    are fixed by (n, dv, dc) and not stored. Every CN has exactly dc
+    edges, so the CN side is one (dc, m_checks) block, ``cn_sockets``.
     The graph is simple: no VN has two edges to the same CN, whether it
     was sampled or built directly. Instances are treated as immutable
     after construction.
@@ -78,14 +79,11 @@ class CodeGraph:
         return self.field.inv_vec(self.edge_label)
 
     @cached_property
-    def cn_edge_perm(self) -> np.ndarray:
-        """Edge permutation that groups edges by CN (dc consecutive each)."""
-        return np.argsort(self.edge_cn, kind="stable")
-
-    @cached_property
-    def cn_starts(self) -> np.ndarray:
-        """Offset of each CN's first edge in ``cn_edge_perm`` order."""
-        return np.arange(0, self.n * self.dv, self.dc)
+    def cn_sockets(self) -> np.ndarray:
+        """The (dc, m_checks) block of edges: column c holds CN c's dc
+        edges in ascending order."""
+        order = np.argsort(self.edge_cn, kind="stable")
+        return np.ascontiguousarray(order.reshape(self.m_checks, self.dc).T)
 
 
 def check_degrees(dv: int, dc: int) -> None:

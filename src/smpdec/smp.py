@@ -23,21 +23,9 @@ whatever dv is: one equality cube, a bit mask per candidate and a bit
 count of its lowest set bit. As that index is at most i, the key lies
 below (dv + 1)!, the table's row count.
 
-A frame stops early once its messages cycle without a tie. Once the
-weight class (where w falls among the vote counts) no longer changes up
-to l_max, every later iteration applies the same map from messages to
-messages, and an iteration with no tie reads none of its draws. So
-when an iteration sends the messages sent p iterations before, with no
-tie and no class change in between, the next iteration repeats the one
-p before it without a tie, and so does every later one: the messages
-cycle with period p up to l_max. Iteration l_max then reads the check
-messages of each cycle iteration a multiple of p before it; if the
-decision from those has no tie, it is the decision of the last
-iteration. A fixed point is the cycle of period 1. The repeat is found
-by comparing each iteration's messages with the previous ones and with
-one stored earlier message array, which moves forward after 1, 2, 4,
-... iterations (Brent's cycle detection), so it costs one message
-array of memory.
+A frame stops early once its messages cycle without a tie after the
+weight class settles, with the decisions and tie counts of the full
+run; ``decode`` states the rule and why it is exact.
 """
 
 from __future__ import annotations
@@ -97,16 +85,16 @@ class XiSchedule:
 def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
     """Extrinsic parity completion at every check node.
 
-    Each CN first forms the total T of its labeled inputs, then every
+    Each CN first forms the total T of its labeled inputs, a reduce
+    over the rows of the graph's (dc, m_checks) socket block, then every
     edge receives inv(label) * (T - label * message): one pass instead
     of a per-edge sum, costing 2 dc - 1 additions and 2 dc products per
-    CN. The inverse labels and the CN grouping are computed once per
+    CN. The inverse labels and the socket block are computed once per
     graph.
     """
     f = code.field
     labeled = f.mul_vec(code.edge_label, np.asarray(vn_to_cn))
-    totals = np.bitwise_xor.reduceat(labeled[code.cn_edge_perm],
-                                     code.cn_starts)
+    totals = np.bitwise_xor.reduce(labeled.take(code.cn_sockets), axis=0)
     extrinsic = np.bitwise_xor(totals[code.edge_cn], labeled)
     return f.mul_vec(code.inv_label, extrinsic)
 
@@ -326,7 +314,8 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     point stops where it repeats; longer periods against one stored
     message array, moved to the current messages after 1, 2, 4, ...
     iterations and whenever an iteration ties or precedes the settled
-    class. The decisions and tie counts equal those of the full run; a
+    class (Brent's cycle detection, one message array of memory). The
+    decisions and tie counts equal those of the full run; a
     Generator passed as rng is left in a different state, having made
     none of the skipped iterations' draws.
     """

@@ -31,11 +31,22 @@ def test_sample_code_counts():
     assert np.all(code.edge_label < 4)
 
 
-def test_check_grouping_starts_each_check_once():
-    code = sample_code(10, 3, 5, F4, seed=7)
-    grouped = code.edge_cn[code.cn_edge_perm]
-    assert np.array_equal(grouped[code.cn_starts], np.arange(6))
-    assert np.array_equal(np.repeat(grouped[code.cn_starts], 5), grouped)
+@pytest.mark.parametrize("code", [
+    sample_code(10, 3, 5, F4, seed=7),
+    # checks out of edge order: edge 0 is on CN 1, and CN 0's edges are
+    # 1, 2 and 4
+    CodeGraph(n=3, dv=2, dc=3, field=F4,
+              edge_cn=np.array([1, 0, 0, 1, 0, 1]),
+              edge_label=np.ones(6, dtype=np.int32)),
+], ids=["sampled", "built"])
+def test_cn_sockets_hold_each_check_in_one_column(code):
+    sockets = code.cn_sockets
+    assert sockets.shape == (code.dc, code.m_checks)
+    assert np.array_equal(code.edge_cn[sockets],
+                          np.tile(np.arange(code.m_checks), (code.dc, 1)))
+    assert np.array_equal(np.sort(sockets, axis=None),
+                          np.arange(code.edge_cn.size))
+    assert np.all(np.diff(sockets, axis=0) > 0)
 
 
 def test_sample_code_divisibility_error():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oracles import edge_vn, gf_inv, gf_mul
 from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
 from smpdec.code import CodeGraph, sample_code
-from smpdec.de import de_run, vn_step_exact
+from smpdec.de import cn_step, de_run, vn_step_exact
 from smpdec.galois import build_field
 from smpdec.smp import (MAX_DV, XiSchedule, _decision, _pattern_key,
                         cn_update, decode, vn_update)
@@ -935,3 +935,94 @@ def test_decode_validates_input_length():
         decode(code, np.full(12, 0.7), 0.1, sched, 5, rng=0)
     with pytest.raises(ValueError, match="l_max must be positive, got 0"):
         decode(code, np.zeros(12, dtype=np.int32), 0.1, sched, 0, rng=0)
+
+
+# ----------------------------------------------------------------------
+# Against one density-evolution step
+# ----------------------------------------------------------------------
+
+def _de_step_at_weight(xi: float, eps: float, w: float, dv: int,
+                       q: int) -> float:
+    """P(next message correct) in one density-evolution variable-node
+    step whose channel weight is w, whatever D(eps)/D(xi) is.
+
+    The dv - 1 votes and the channel symbol are wrong with probability
+    xi and eps, a wrong symbol uniform over the q - 1 that were not sent.
+    Each equality pattern of these dv candidates is taken with each of
+    its blocks as the sent symbol, and scored as the decoder scores it:
+    votes, plus w on the channel symbol's block; a tie of s blocks is
+    won with probability 1/s.
+    """
+    total = 0.0
+    for labels in _restricted_growth_strings(dv).tolist():
+        blocks = max(labels) + 1
+        scores = [0.0] * blocks
+        for i, b in enumerate(labels):
+            scores[b] += w if i == dv - 1 else 1.0
+        top = max(scores)
+        for sent in range(blocks):
+            if scores[sent] != top:
+                continue
+            wrong = [b != sent for b in labels]
+            p = math.prod(xi if x else 1 - xi for x in wrong[:-1])
+            p *= eps if wrong[-1] else 1 - eps
+            # the other blocks take distinct symbols that were not sent
+            p *= math.perm(q - 1, blocks - 1) / (q - 1) ** sum(wrong)
+            total += p / scores.count(top)
+    return total
+
+
+@pytest.mark.parametrize("q", [4, 256])
+def test_de_step_at_weight_is_density_evolution_at_its_own_weight(q):
+    # xi = eps gives w = 1, where the channel symbol ties one vote
+    for xi, eps in [(0.05, 0.1), (0.3, 0.08), (0.1, 0.1), (0.6, 0.02)]:
+        w = weight_ratio(q, eps, xi)
+        assert _de_step_at_weight(xi, eps, w, 3, q) == pytest.approx(
+            vn_step_exact(xi, eps, 3, q), abs=1e-12)
+
+
+# Each band is about twice the worst deviation over a wider sample: 24
+# pools of 8 GF(4) frames read up to 2.1%, and 30 pools of 32 GF(256)
+# frames up to 2.5% (code seeds 1-3). A decoder that takes its weight
+# from eps alone, or whose tie picks never draw their last tied slot,
+# moves some iteration's ratio by 8% or more.
+@pytest.mark.parametrize("m, n, eps, frames, iterations, band", [
+    # (3,6) GF(4) below its threshold 0.089: w falls below 1, and ties
+    # begin, at iteration 18
+    pytest.param(2, 60000, 0.08, 8, 20, 0.04, id="gf4-n60000"),
+    # (3,6) GF(256) below its threshold 0.111: w < 1 from iteration 9
+    pytest.param(8, 7680, 0.10, 32, 12, 0.05, id="gf256-n7680"),
+])
+def test_decoder_tracks_one_density_evolution_step(m, n, eps, frames,
+                                                   iterations, band):
+    # On a large graph the wrong-message fraction concentrates on density
+    # evolution while neighbourhoods stay tree-like. So, summed over the
+    # frames, each iteration sends about as many wrong messages as one DE
+    # step predicts from the fraction the frame sent the iteration
+    # before (the channel word before iteration 1) and the frame's own
+    # flip rate. The step takes the decoder's weight from the schedule's
+    # xi, as vn_update does. Frames run as decode runs them, without the
+    # early exit.
+    field = build_field(m)
+    q, dv, dc = field.q, 3, 6
+    code = sample_code(n, dv, dc, field, seed=1)
+    sched = XiSchedule.from_trace(de_run(dv, dc, q, eps, l_max=iterations))
+    wrong, expected, ties = np.zeros(iterations), np.zeros(iterations), 0
+    for frame in range(frames):
+        rng = np.random.default_rng([7, frame])
+        y = transmit(np.zeros(n, dtype=np.int32), ChannelParams(field, eps),
+                     rng)
+        sent = y[edge_vn(code)]
+        flips = frac = np.count_nonzero(y) / n
+        for it in range(1, iterations + 1):
+            xi = 1 - cn_step(1 - frac, dc, q)
+            w = weight_ratio(q, eps, sched.value_at(it))
+            expected[it - 1] += 1 - _de_step_at_weight(xi, flips, w, dv, q)
+            sent, t = vn_update(code, cn_update(code, sent), y, eps,
+                                sched.value_at(it), rng)
+            frac = np.count_nonzero(sent) / sent.size
+            wrong[it - 1] += frac
+            ties += t
+    assert ties > 0
+    ratios = wrong / expected
+    assert np.all(np.abs(ratios - 1) < band), ratios
