@@ -21,7 +21,11 @@ node's key is the sum over its candidates i of i! times the first
 candidate equal to candidate i, found in a fixed number of array passes
 whatever dv is: one equality cube, a bit mask per candidate and a bit
 count of its lowest set bit. As that index is at most i, the key lies
-below (dv + 1)!, the table's row count.
+below (dv + 1)!, the table's row count. Per key the kernel also keeps
+the first tied slot of each row times n, in one contiguous block, and a
+flag set where some row ties: every node gathers its winners at its
+key's lead offsets plus its own index, and only flagged nodes read
+their table rows to pick among their ties.
 
 A frame stops early once its messages cycle without a tie after the
 weight class settles, with the decisions and tie counts of the full
@@ -49,7 +53,8 @@ __all__ = [
 
 #: Largest variable node degree the decoder takes. A pattern table has
 #: (dv + 1)! rows: 40320, or 2.9 MB, at dv = 7, and nine times as many
-#: at dv = 8.
+#: at dv = 8. The gather offsets read from it take about twice as much
+#: again.
 MAX_DV = 7
 
 
@@ -95,7 +100,7 @@ def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
     f = code.field
     labeled = f.mul_vec(code.edge_label, np.asarray(vn_to_cn))
     totals = np.bitwise_xor.reduce(labeled.take(code.cn_sockets), axis=0)
-    extrinsic = np.bitwise_xor(totals[code.edge_cn], labeled)
+    extrinsic = np.bitwise_xor(totals.take(code.edge_cn), labeled)
     return f.mul_vec(code.inv_label, extrinsic)
 
 
@@ -199,47 +204,79 @@ def _pattern_key(cand: np.ndarray) -> np.ndarray:
     return places @ np.bitwise_count(mask)
 
 
+@lru_cache(maxsize=32)
+def _gather_offsets(dv: int, weight_class: int, n: int,
+                    rows: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_vote`` reads of the selected rows of every pattern.
+
+    Returns, per table row (pattern key), the first tied slot of each
+    selected row times n, as one contiguous intp block; a flag set where
+    some selected row ties; and the selected rows themselves, int8, for
+    the tie picks. Only the first block depends on n. The cache is
+    bounded as it is keyed by n.
+    """
+    # C order throughout: ``take`` copies any other layout whole first
+    sel = np.ascontiguousarray(_pattern_table(dv, weight_class)[:, rows])
+    lead = np.multiply(sel[:, :, 1], n, dtype=np.intp, order="C")
+    return lead, (sel[:, :, 0] > 1).any(axis=1), sel
+
+
 def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
           epsilon: float, xi: float, u: np.ndarray,
-          rows: slice) -> tuple[np.ndarray, int]:
+          rows: range) -> tuple[np.ndarray, int]:
     """Winning symbol per VN and table row, and how many of them tied.
 
-    ``rows`` selects the extrinsic views (``slice(0, dv)``) or the
-    decision (``slice(dv, None)``) of every node's pattern-table row;
+    ``rows`` selects the extrinsic views (``range(dv)``) or the
+    decision (``range(dv, dv + 1)``) of every node's pattern-table row;
     ``u`` has one uniform draw per selected row. Of a tie set of size s,
     entry min(floor(u * s), s - 1) in slot order is returned; without a
     tie that is the first tied slot, so only ties read their draws.
     The candidates form one slot-major (dv + 1, n) block, so slot j of
     node v sits at flat index j * n + v. The winners are gathered
-    through one intp array of such indices; the tied picks read their
-    sizes, draws and slots with 1-D takes at flat offsets into the
-    table rows and are written into it with one flat scatter. An int32
-    index would be cast to a second, intp copy by the gather.
+    through one intp array of such indices: each node's key takes its
+    lead slots, already scaled by n, from ``_gather_offsets`` and adds
+    v. Only nodes whose key is flagged as tied read their table rows:
+    those rows are taken into one compacted block, and its tied rows
+    read their sizes, draws and slots with 1-D takes at flat offsets and
+    are written into the index with one flat scatter, row k of the block
+    standing for node ``nodes[k]``. An int32 index would be cast to a
+    second, intp copy by the gather.
     """
     n, dv = code.n, code.dv
     cand = np.empty((dv + 1, n), dtype=np.int32)
     cand[:dv] = np.asarray(cn_to_vn).reshape(n, dv).T
     cand[dv] = y
     w = weight_ratio(code.field.q, epsilon, xi)
-    table = _pattern_table(dv, _weight_class(w, dv))
-    entry = table.take(_pattern_key(cand), axis=0)
-    ntied = entry[:, rows, 0]
-    index = np.multiply(entry[:, rows, 1], n, dtype=np.intp)
+    lead, flag, sel = _gather_offsets(dv, _weight_class(w, dv), n, rows)
+    key = _pattern_key(cand)
+    index = lead.take(key, axis=0)
     index += np.arange(n)[:, None]
-    tied = np.flatnonzero(ntied > 1)
-    if tied.size:
-        v, r = np.divmod(tied, ntied.shape[1])
-        # flat offset of each tied row's tie count in the (n, dv + 1,
-        # dv + 2) block; its tied slots follow it
-        at = (v * (dv + 1) + (r + rows.start)) * (dv + 2)
+    nodes = np.flatnonzero(flag.take(key))
+    ties = 0
+    if nodes.size:
+        entry = sel.take(key.take(nodes), axis=0)
+        tied = np.flatnonzero(entry[:, :, 0] > 1)
+        ties = tied.size
+        # tied row r of block row k is row r of node v = nodes[k]: flat
+        # index k * len(rows) + r in the block's rows, v * len(rows) + r
+        # in u and index
+        k = tied // len(rows)
+        v = nodes.take(k)
+        row = tied + (v - k) * len(rows)
+        at = tied * (dv + 2)  # its tie count; its tied slots follow
         flat = entry.reshape(-1)
         s = flat.take(at)
-        pick = np.minimum((u.reshape(-1).take(tied) * s).astype(np.intp),
+        pick = np.minimum((u.reshape(-1).take(row) * s).astype(np.intp),
                           s - 1)
-        index.put(tied, np.multiply(flat.take(at + 1 + pick), n,
-                                    dtype=np.intp) + v)
-    del entry, ntied  # freed before the output is allocated: a lower peak
-    return cand.reshape(-1).take(index), tied.size
+        index.put(row, np.multiply(flat.take(at + 1 + pick), n,
+                                   dtype=np.intp) + v)
+        del entry  # freed before the output is allocated: a lower peak
+    # key lives on to the return: freed here, its space would take the
+    # output below the tie temporaries, which would then free at the top
+    # of the heap; glibc hands that back to the system and the next call
+    # faults it in again (about 600 page faults per tie-heavy call at
+    # n = 60000)
+    return cand.reshape(-1).take(index), ties
 
 
 def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
@@ -257,7 +294,7 @@ def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     edges whose argmax was a tie.
     """
     u = rng.random((code.n, code.dv))
-    out, ties = _vote(code, cn_to_vn, y, epsilon, xi, u, slice(0, code.dv))
+    out, ties = _vote(code, cn_to_vn, y, epsilon, xi, u, range(code.dv))
     return out.reshape(-1), ties
 
 
@@ -269,7 +306,7 @@ def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     ``u`` holds one uniform tie draw per variable node.
     """
     out, ties = _vote(code, cn_to_vn, y, epsilon, xi, u[:, None],
-                      slice(code.dv, None))
+                      range(code.dv, code.dv + 1))
     return out[:, 0], ties
 
 

@@ -21,8 +21,9 @@ from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import cn_step, de_run, vn_step_exact
 from smpdec.galois import build_field
-from smpdec.smp import (MAX_DV, XiSchedule, _decision, _pattern_key,
-                        cn_update, decode, vn_update)
+from smpdec.smp import (MAX_DV, XiSchedule, _decision, _gather_offsets,
+                        _pattern_key, _pattern_table, cn_update, decode,
+                        vn_update)
 
 F2 = build_field(1)
 F4 = build_field(2)
@@ -298,6 +299,25 @@ def test_pattern_key_is_one_table_row_per_pattern(size):
     assert keys[0].min() >= 0 and keys[0].max() < math.factorial(size)
 
 
+@pytest.mark.parametrize("dv", range(2, MAX_DV + 1))
+def test_gather_offsets_are_table_rows_scaled_by_n(dv):
+    n = 37
+    patterns = _pattern_key(_restricted_growth_strings(dv + 1).T)
+    no_pattern = np.setdiff1d(np.arange(math.factorial(dv + 1)), patterns)
+    assert no_pattern.size
+    for c in range(2 * dv + 1):
+        table = _pattern_table(dv, c)
+        for rows in (range(dv), range(dv, dv + 1)):
+            # uncached: dv = MAX_DV blocks are megabytes each
+            lead, flag, sel = _gather_offsets.__wrapped__(dv, c, n, rows)
+            assert lead.dtype == np.intp and lead.flags.c_contiguous
+            assert np.array_equal(lead,
+                                  table[:, rows, 1].astype(np.intp) * n)
+            assert np.array_equal(flag, (table[:, rows, 0] > 1).any(axis=1))
+            assert np.array_equal(sel, table[:, rows])
+            assert not lead[no_pattern].any() and not flag[no_pattern].any()
+
+
 def test_vn_update_unanimous():
     code = sample_code(8, 3, 4, F4, seed=3)
     y = np.full(8, 2, dtype=np.int32)
@@ -461,6 +481,42 @@ def test_vn_update_and_decision_match_scoreboard(case):
                             for v, b in enumerate(boards) for j in range(dv)]
     dec, _ = _decision(code, mu, y, eps, xi, u[:, 0])
     assert dec.tolist() == [b.argmax(u[v, 0]) for v, b in enumerate(boards)]
+
+
+@pytest.mark.parametrize("dv, dc, n, w", [(3, 6, 300, 1.0),
+                                          (MAX_DV, 8, 240, 3.0)])
+def test_vote_picks_ties_of_scattered_nodes_from_their_own_draws(dv, dc, n,
+                                                                 w):
+    # hundreds of nodes from three symbols at an integral weight: tied
+    # and untied nodes interleave, so the tie picks' compacted row k and
+    # its node nodes[k] differ; ties fall on views other than the first,
+    # and some decisions tie where no view of their node does
+    code = sample_code(n, dv, dc, F8, seed=dv)
+    rng = np.random.default_rng(n)
+    mu = rng.choice([1, 4, 6], size=(n, dv)).astype(np.int32)
+    y = rng.choice([1, 4, 6], size=n).astype(np.int32)
+    mu[::4] = y[::4, None]  # unanimous nodes: no tie
+    xi = 0.2
+    eps = _eps_for_weight(8, xi, w)
+    boards = [ScoreBoard.from_votes(mu[v].tolist(), int(y[v]), eps, xi, 8)
+              for v in range(n)]
+    edge_tied = np.array([[len(b.tie_set(j)) > 1 for j in range(dv)]
+                          for b in boards])
+    node_tied = np.array([len(b.tie_set()) > 1 for b in boards])
+    assert not edge_tied[0].any() and not node_tied[0]
+    assert edge_tied.any(axis=1).mean() > 0.2 and node_tied.mean() > 0.05
+    assert (edge_tied[:, 1:] & ~edge_tied[:, :1]).any()
+    assert (node_tied & ~edge_tied.any(axis=1)).any()
+    u = rng.random((n, dv))
+    out, ties = vn_update(code, mu.reshape(-1), y, eps, xi, _FixedBlock(u))
+    assert ties == edge_tied.sum()
+    assert out.reshape(n, dv).tolist() == [
+        [b.argmax(u[v, j], drop_slot=j) for j in range(dv)]
+        for v, b in enumerate(boards)]
+    u = rng.random(n)
+    dec, ties = _decision(code, mu.reshape(-1), y, eps, xi, u)
+    assert ties == node_tied.sum()
+    assert dec.tolist() == [b.argmax(u[v]) for v, b in enumerate(boards)]
 
 
 # ----------------------------------------------------------------------
