@@ -56,9 +56,9 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
     epsilon = 0 is taken as converging and the channel ceiling
     (q-1)/q as not converging, so the search always starts from a
     valid bracket.  Each trajectory gets its own bisection from 0, over
-    one cache of density-evolution runs.  A run that converges also
-    converges optimistically, so both searches share every probe up to
-    the first whose verdicts differ (in exact mode, all of them).
+    one cache of density-evolution runs.  Lower p0 <= upper p0, so a run
+    that converges also converges optimistically: both searches share
+    every probe up to the first whose verdicts differ (exact mode: all).
     ``bisect_tol`` must lie in [MIN_BISECT_TOL, (q-1)/q): a coarser one
     would end the search before any density-evolution run.
     """

@@ -81,27 +81,37 @@ class IterationRecord:
     xi: BoundedProb
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeTrace:
     """Trajectory of a density-evolution run.
 
     The run's inputs stay with the caller and in the CLI's embedded
     config. records[l] holds p0 after l variable-node iterations together
     with the xi the next variable-node step would see; records[0] is the
-    channel initialization. ``converged`` reports whether the lower p0
-    trajectory reached 1 - DELTA_CONV; ``converged_upper`` reports the
-    same for the upper trajectory (they coincide in exact mode).
-    ``converged`` implies ``converged_upper``, which the threshold
-    search relies on to share its probes between the two. Above
-    threshold ``iterations_run`` can move by one with the last-bit
-    rounding of a step, as the run stops once ``p_new <= p`` holds exactly.
+    channel initialization. ``converged`` and ``converged_upper`` read
+    the last record: whether its lower, respectively upper, p0 reached
+    1 - DELTA_CONV (they coincide in exact mode). A record's lower end
+    never exceeds its upper one, so ``converged`` implies
+    ``converged_upper``, which the threshold search relies on to share
+    its probes between the two. Above threshold ``iterations_run``
+    (len(records) - 1) can move by one with the last-bit rounding of a
+    step, as the run stops once ``p_new <= p`` holds exactly.
     """
 
     mode: str
-    records: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
-    converged_upper: bool = False
-    iterations_run: int = 0
+    records: list[IterationRecord]
+    iterations_run: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "iterations_run", len(self.records) - 1)
+
+    @property
+    def converged(self) -> bool:
+        return 1.0 - self.records[-1].p0.lower < DELTA_CONV
+
+    @property
+    def converged_upper(self) -> bool:
+        return 1.0 - self.records[-1].p0.upper < DELTA_CONV
 
 
 # ----------------------------------------------------------------------
@@ -370,13 +380,9 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
         return IterationRecord(BoundedProb(p_lo, p_up), BoundedProb(xi_lo, xi_up))
 
     p_lo = p_up = 1.0 - epsilon
-    trace = DeTrace(mode=mode, records=[make_record(p_lo, p_up)])
-    if 1.0 - p_lo < DELTA_CONV:
-        trace.converged = trace.converged_upper = True
-        return trace
-
-    for it in range(1, l_max + 1):
-        rec = trace.records[-1]
+    records = [make_record(p_lo, p_up)]
+    while len(records) <= l_max and 1.0 - p_lo >= DELTA_CONV:
+        rec = records[-1]
         if mode == "exact":
             p_lo_new = p_up_new = vn_step_exact(rec.xi.lower, epsilon, dv, q)
         else:
@@ -388,17 +394,10 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
             if rec.xi.lower != rec.xi.upper:
                 step = vn_step_bounded(rec.xi.lower, epsilon, dv, q)
             p_up_new = step.upper
-        trace.records.append(make_record(p_lo_new, p_up_new))
-        trace.iterations_run = it
-        if 1.0 - p_lo_new < DELTA_CONV:
-            trace.converged = True
-            break
+        records.append(make_record(p_lo_new, p_up_new))
         if p_lo_new <= p_lo and p_up_new <= p_up:
-            # the one-step maps are monotone, so a non-increasing
-            # trajectory can never climb to the convergence target
+            # monotone one-step maps: a non-increasing trajectory can
+            # never converge, and a converging step raises p_lo
             break
         p_lo, p_up = p_lo_new, p_up_new
-
-    p_up_final = trace.records[-1].p0.upper
-    trace.converged_upper = trace.converged or 1.0 - p_up_final < DELTA_CONV
-    return trace
+    return DeTrace(mode, records)

@@ -3,7 +3,7 @@
 Each test prints one ``acceptance NN ...: PASS/FAIL`` line (visible
 with ``pytest -s``, or on failure) and asserts its check at a fixed
 tolerance. The heavy checks pin their runtime budgets; the whole
-module finishes in a few minutes on one core.
+module takes about 5 s on one core of a 2-vCPU machine.
 
 Check 04 holds the bounded density evolution interval to 1e-6 near
 every tabulated threshold. Bounded DE pays ties with at most three
@@ -44,6 +44,47 @@ THRESHOLDS_RATE_HALF = {
               0.178),
 }
 
+#: Threshold searches frozen bit for bit, one (bracket end in float hex,
+#: density-evolution runs) per field order; every bracket of the table
+#: has width zero, so both its ends equal that value.
+FROZEN_BRACKETS = {
+    (3, 5): (
+        ("0x1.f540000000000p-5", 13), ("0x1.f770000000000p-4", 13),
+        ("0x1.1162000000000p-3", 14), ("0x1.1af3000000000p-3", 14),
+        ("0x1.1f6a800000000p-3", 14), ("0x1.2197400000000p-3", 14),
+        ("0x1.22a6200000000p-3", 14), ("0x1.232bb00000000p-3", 14),
+        ("0x1.237df80000000p-3", 14),
+    ),
+    (3, 6): (
+        ("0x1.4340000000000p-5", 13), ("0x1.6c50000000000p-4", 13),
+        ("0x1.a95c000000000p-4", 14), ("0x1.b846000000000p-4", 14),
+        ("0x1.bf71000000000p-4", 14), ("0x1.c2f7800000000p-4", 14),
+        ("0x1.c48fc00000000p-4", 14), ("0x1.c558e00000000p-4", 14),
+        ("0x1.c5bcb00000000p-4", 14),
+    ),
+    (4, 8): (
+        ("0x1.a740000000000p-5", 13), ("0x1.4d90000000000p-4", 13),
+        ("0x1.b3dc000000000p-4", 14), ("0x1.18f5000000000p-3", 14),
+        ("0x1.4f7d800000000p-3", 14), ("0x1.6877400000000p-3", 14),
+        ("0x1.7461600000000p-3", 14), ("0x1.7a54300000000p-3", 14),
+        ("0x1.7d31080000000p-3", 14),
+    ),
+    (5, 10): (
+        ("0x1.5540000000000p-5", 13), ("0x1.4c10000000000p-4", 13),
+        ("0x1.9c3c000000000p-4", 14), ("0x1.dc5e000000000p-4", 14),
+        ("0x1.16f0800000000p-3", 14), ("0x1.4a71400000000p-3", 14),
+        ("0x1.6a95200000000p-3", 14), ("0x1.7a14700000000p-3", 14),
+        ("0x1.81aec80000000p-3", 14),
+    ),
+    (6, 12): (
+        ("0x1.44c0000000000p-5", 13), ("0x1.2e70000000000p-4", 13),
+        ("0x1.9dfc000000000p-4", 14), ("0x1.cbba000000000p-4", 14),
+        ("0x1.ef65000000000p-4", 14), ("0x1.14eac00000000p-3", 14),
+        ("0x1.3eada00000000p-3", 14), ("0x1.5cf1b00000000p-3", 14),
+        ("0x1.6b99d80000000p-3", 14),
+    ),
+}
+
 #: Shannon limits of the QSC at the two design rates, per field order.
 SHANNON_RATE_04 = (0.146, 0.248, 0.319, 0.371, 0.409,
                    0.437, 0.459, 0.476, 0.489)
@@ -56,33 +97,49 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
+def _frozen(res, frozen: tuple[str, int]) -> bool:
+    """Whether a threshold search reproduces its frozen bracket and runs."""
+    end, runs = frozen
+    return (res.eps_star_lower.hex(), res.eps_star_upper.hex(),
+            res.evaluations) == (end, end, runs)
+
+
 def test_acceptance_01_threshold_table_3_5():
     start = time.perf_counter()
     devs = []
-    for q, want in zip(FIELD_ORDERS, THRESHOLDS_3_5):
+    same = 0
+    for q, want, frozen in zip(FIELD_ORDERS, THRESHOLDS_3_5,
+                               FROZEN_BRACKETS[(3, 5)]):
         res = find_threshold(3, 5, q)
         if q == 2:
             assert res.mode == "exact"
         devs.append(abs(res.eps_star_lower - want))
+        same += _frozen(res, frozen)
     elapsed = time.perf_counter() - start
-    ok = max(devs) <= 1e-3 and elapsed < 300.0
+    ok = max(devs) <= 1e-3 and same == len(FIELD_ORDERS) and elapsed < 300.0
     _report("01 threshold table (3,5)", ok,
-            f"max deviation {max(devs):.1e}, {elapsed:.1f}s")
+            f"max deviation {max(devs):.1e}, {same} of {len(FIELD_ORDERS)} "
+            f"brackets bit-identical, {elapsed:.1f}s")
 
 
 def test_acceptance_02_threshold_tables_rate_half():
     start = time.perf_counter()
     worst = ("", 0.0)
+    same = cells = 0
     for (dv, dc), wants in THRESHOLDS_RATE_HALF.items():
-        for q, want in zip(FIELD_ORDERS, wants):
-            got = find_threshold(dv, dc, q).eps_star_lower
-            dev = abs(got - want)
+        for q, want, frozen in zip(FIELD_ORDERS, wants,
+                                   FROZEN_BRACKETS[(dv, dc)]):
+            res = find_threshold(dv, dc, q)
+            dev = abs(res.eps_star_lower - want)
             if dev > worst[1]:
                 worst = (f"({dv},{dc}) q={q}", dev)
+            same += _frozen(res, frozen)
+            cells += 1
     elapsed = time.perf_counter() - start
-    ok = worst[1] <= 1e-3
+    ok = worst[1] <= 1e-3 and same == cells
     _report("02 threshold tables rate 1/2", ok,
-            f"worst cell {worst[0]} deviation {worst[1]:.1e}, {elapsed:.1f}s")
+            f"worst cell {worst[0]} deviation {worst[1]:.1e}, {same} of "
+            f"{cells} brackets bit-identical, {elapsed:.1f}s")
 
 
 def test_acceptance_03_shannon_limit_columns():

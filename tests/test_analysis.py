@@ -7,7 +7,7 @@ from smpdec import __version__
 from smpdec.analysis import ThresholdResult, find_threshold, table_report
 from smpdec.channel import shannon_limit
 from smpdec.cli import TABLE_COLUMNS, _render
-from smpdec.de import DeTrace
+from smpdec.de import BoundedProb, DeTrace, IterationRecord
 
 
 def test_threshold_3_5_q4_matches_reference_value():
@@ -44,10 +44,11 @@ def test_threshold_searches_split_where_trajectories_disagree(monkeypatch):
     # a stand-in evolution whose optimistic trajectory converges over a
     # wider epsilon range than the pessimistic one; the searches share
     # the probes before the first where they disagree and then part,
-    # each with its own runs, so the bracket opens
+    # each with its own runs, so the bracket opens; each trace is the
+    # one record whose p0 ends carry the two verdicts
     def de_run(dv, dc, q, eps, mode, l_max):
-        return DeTrace(mode=mode, converged=eps < 0.10,
-                       converged_upper=eps < 0.12)
+        p0 = BoundedProb(float(eps < 0.10), float(eps < 0.12))
+        return DeTrace(mode, [IterationRecord(p0, p0)])
 
     monkeypatch.setattr(smpdec.analysis, "de_run", de_run)
     res = find_threshold(7, 14, 32)

@@ -5,11 +5,14 @@ tuples, channel outputs, message patterns and ball assignments. They
 share no code with the implementation under test.
 """
 
+import dataclasses
 import itertools
 import math
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smpdec.channel import weight_D, weight_ratio
 from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
@@ -383,6 +386,32 @@ def test_vn_bounded_tight_for_dv3_generic_weights():
                 assert bound.lower == bound.upper == exact, (dv, q, xi, eps)
 
 
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(dv=st.integers(2, 6), q=st.sampled_from((4, 8, 64, 512)),
+       data=st.data())
+def test_vn_bounded_equals_exact_below_dv7(dv, q, data):
+    # below dv = 7 at most BOUNDED_EXACT_TIES + 1 further cells can
+    # share the maximum at a non-integral weight, and the bounded step
+    # pays those ties exactly; an integral weight lets the channel
+    # symbol join a tie, and there the bounds only sandwich
+    ceiling = (q - 1) / q
+    w = data.draw(st.none() | st.integers(1, 3), label="w")
+    if w is None:
+        xi = data.draw(st.floats(0.0, ceiling), label="xi")
+        eps = data.draw(st.floats(0.0, ceiling, exclude_max=True),
+                        label="eps")
+    else:
+        xi = data.draw(st.floats(0.01, ceiling - 0.01), label="xi")
+        eps = solve_eps_for_integral_w(xi, q, w)
+    assume(weight_ratio(q, eps, xi).is_integer() == (w is not None))
+    exact = vn_step_exact(xi, eps, dv, q)
+    bound = vn_step_bounded(xi, eps, dv, q)
+    if w is not None:
+        assert bound.lower <= exact <= bound.upper
+    else:
+        assert bound.lower == bound.upper == exact
+
+
 def test_vn_bounded_integral_weight_sandwich():
     xi = 0.3
     # at dv = 7 and w = 1 the sent symbol can tie the observed one while
@@ -437,9 +466,51 @@ def test_vn_steps_match_frozen_values(xi, eps, dv, q, exact, lower, upper):
 # ----------------------------------------------------------------------
 
 def test_de_run_noiseless_converges_immediately():
+    # the channel word has converged, so the run never steps
     trace = de_run(3, 6, 4, 0.0)
     assert trace.converged
-    assert trace.iterations_run <= 1
+    assert trace.iterations_run == 0
+    assert len(trace.records) == 1
+
+
+#: One de_run per stop path and mode: (dv, dc, q, eps, mode, l_max,
+#: converged, iterations_run). The (7,14) runs hold records whose xi
+#: ends differ.
+STOP_PATHS = [
+    (3, 5, 2, 0.0, "exact", 2000, True, 0),        # at the channel word
+    (3, 6, 4, 0.0, "bounded", 2000, True, 0),
+    (3, 6, 4, 0.08, "exact", 2000, True, 46),      # later
+    (3, 6, 4, 0.08, "bounded", 2000, True, 46),
+    (3, 6, 4, 0.12, "exact", 2000, False, 1),      # stalled
+    (3, 6, 4, 0.12, "bounded", 2000, False, 1),
+    (3, 6, 4, 0.08, "exact", 3, False, 3),         # capped
+    (3, 6, 4, 0.08, "bounded", 3, False, 3),
+    (7, 14, 64, 0.10, "bounded", 2000, True, 6),
+    (7, 14, 64, 0.12, "bounded", 2000, True, 13),
+    (7, 14, 512, 0.08, "bounded", 2000, True, 4),
+]
+
+
+@pytest.mark.parametrize("dv,dc,q,eps,mode,l_max,conv,its", STOP_PATHS)
+def test_de_trace_verdicts_read_its_last_record(dv, dc, q, eps, mode, l_max,
+                                                conv, its):
+    trace = de_run(dv, dc, q, eps, l_max=l_max, mode=mode)
+    last = trace.records[-1].p0
+    assert (trace.converged, trace.iterations_run) == (conv, its)
+    assert trace.iterations_run == len(trace.records) - 1
+    assert trace.converged == (1.0 - last.lower < DELTA_CONV)
+    assert trace.converged_upper == (1.0 - last.upper < DELTA_CONV)
+    assert trace.converged_upper or not trace.converged
+    if not conv and its < l_max:
+        # a stall: the last step raised neither trajectory
+        prev = trace.records[-2].p0
+        assert last.lower <= prev.lower and last.upper <= prev.upper
+    for name in ("mode", "records", "iterations_run"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, name, getattr(trace, name))
+    for name in ("converged", "converged_upper"):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, True)
 
 
 def test_de_run_below_threshold_converges():
