@@ -171,3 +171,17 @@ def weight_ratio(q: int, epsilon: float, xi: float) -> float:
     if r >= 1 and abs(w - r) <= WEIGHT_TIE_TOL:
         return float(r)
     return w
+
+
+def weight_class(w: float, dv: int) -> int:
+    """Where a weight w > 0 falls among the vote counts 1..dv.
+
+    w comes from ``weight_ratio``, so a tie is exact. Class 2k lies
+    strictly between k and k + 1 (below 1 for k = 0) and class 2k - 1
+    is w = k exactly; class 2dv holds every w > dv, integral or not, as
+    no vote count reaches it. So floor(w) is (class + 1) // 2 below
+    class 2dv, and an odd class is a tie of the channel symbol with a
+    vote count. The decoder's tie tables and density evolution's step
+    plans are both keyed by it.
+    """
+    return min(math.ceil(w) - 1, dv) + min(math.floor(w), dv)

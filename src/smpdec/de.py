@@ -13,9 +13,12 @@ vote-count events and differ only in how a score tie pays out:
   BOUNDED_EXACT_TIES further cells and bounds the rarer, wider ones; for
   dv <= 6 it equals the exact step except at integral weights.
 
-Both walk the same events per step, with ball counts cached across
-calls. A bounded iteration takes one step while its xi interval is a
-point, which serves both bounds, and two otherwise, one per bound.
+Both walk a plan of a step's vote-count events that is built once per
+weight class (``channel.weight_class``, the decoder's tie rule) and
+holds each event's binomial coefficient, exponents and payout; a step
+only multiplies out its binomials and sums. A bounded iteration takes
+one step while its xi interval is a point, which serves both bounds,
+and two otherwise, one per bound.
 
 ``de_run`` iterates either flavour and reports the full trajectory, from
 which decoder weight schedules and convergence thresholds are derived.
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .channel import check_epsilon, weight_ratio
+from .channel import check_epsilon, weight_class, weight_ratio
 from .code import check_degrees
 
 __all__ = [
@@ -63,6 +66,9 @@ class BoundedProb:
     upper: float
 
     def __post_init__(self) -> None:
+        if 0.0 <= self.lower <= self.upper <= 1.0:
+            return
+        # NaN fails every comparison and passes through the clamp
         lo = min(max(self.lower, 0.0), 1.0)
         up = min(max(self.upper, 0.0), 1.0)
         if lo > up:
@@ -206,33 +212,110 @@ def multinomial_max_eq_count_dist(k: int, s: int, t: int) -> list[float]:
 # Variable-node step
 # ----------------------------------------------------------------------
 
+#: Binomials over more than this many trials take log space: their
+#: coefficients overflow a float from n = 1030 on.
+_LOG_SPACE_N = 500
+
+
 def _binom_pmf(j: int, n: int, p: float) -> float:
     """Binomial pmf, exact combinatorics for small n, log-space beyond."""
     if p <= 0.0:
         return 1.0 if j == 0 else 0.0
     if p >= 1.0:
         return 1.0 if j == n else 0.0
-    if n <= 500:
+    if n <= _LOG_SPACE_N:
         return math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
     return math.exp(
         math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
         + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
+def _pmfs(terms: tuple, n: int, p: float) -> list[float]:
+    """``_binom_pmf(j, n, p)`` for each (coef, j, n - j, _) of ``terms``.
+
+    Up to _LOG_SPACE_N trials each is coef * p ** j * (1 - p) ** (n - j),
+    the product ``_binom_pmf`` forms, and its value at p = 0 or 1 too;
+    beyond, it is ``_binom_pmf``'s log-space value.
+    """
+    if n > _LOG_SPACE_N:
+        return [_binom_pmf(j, n, p) for _, j, _, _ in terms]
+    b = 1.0 - p
+    return [coef * p ** j * b ** m for coef, j, m, _ in terms]
+
+
+@lru_cache(maxsize=None)
+def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
+    """The vote-count events of a variable-node step, paid once.
+
+    The outgoing message is the symbol maximizing (vote count) + w for
+    the observed symbol, w = D(epsilon)/D(xi), ties broken uniformly.
+    Who wins an event depends on w only through its class
+    (``channel.weight_class``): floor(w) = (class + 1) // 2, and an odd
+    class ties the channel symbol with a vote count. Classes 2dv - 1
+    and 2dv win every correct observation and no wrong one.
+
+    Returns (right, wrong) in the step's summation order, as terms
+    (coef, j, n - j, pay) with coef = C(n, j) as a float up to
+    _LOG_SPACE_N trials. right has a term per number f0 of the dv - 1
+    votes on the sent symbol after a correct observation; the others
+    fall uniformly on the k = q - 1 wrong cells. After a wrong
+    observation one wrong cell carries the weight and, by symmetry,
+    stands for all of them. wrong has a term per number f1 of votes on
+    it that leaves the sent symbol a chance, whose pay is its events: a
+    term per number f0 >= f1 + ceil(w) of the rem = dv - 1 - f1 other
+    votes on the sent symbol; f0 = f1 + w ties the two.
+
+    At each event the sent symbol and c - 1 other named symbols share
+    the score t, while k' further cells share s votes; the event pays
+    ``_tie_pay(k', s, t, c, exact_r)``, or without a tie
+    ``multinomial_max_cdf`` at both ends. The exact step's exact_r = dv
+    pays every event exactly, and for dv <= 6 the bounded step's does
+    so except at integral weights.
+    """
+    s_tot = dv - 1
+    k = q - 1
+    floor_w = (w_class + 1) // 2
+    tie = w_class % 2 == 1
+
+    def term(n: int, j: int, pay) -> tuple:
+        coef = float(math.comb(n, j)) if n <= _LOG_SPACE_N else None
+        return coef, j, n - j, pay
+
+    right = []
+    for f0 in range(s_tot + 1):
+        s, t = s_tot - f0, f0 + floor_w
+        if tie:
+            pay = _tie_pay(k, s, t, 1, exact_r)
+        else:
+            pay = (multinomial_max_cdf(k, s, t),) * 2
+        right.append(term(s_tot, f0, pay))
+
+    wrong = []
+    for f1 in range(s_tot + 1):
+        rem = s_tot - f1
+        # the sent symbol must also beat the q - 2 remaining cells
+        events = tuple(
+            term(rem, f0, _tie_pay(k - 1, rem - f0, f0,
+                                   2 if tie and f0 == f1 + floor_w else 1,
+                                   exact_r))
+            for f0 in range(f1 + floor_w + (not tie), rem + 1))
+        if events:
+            wrong.append(term(s_tot, f1, events))
+    return tuple(right), tuple(wrong)
+
+
 def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
              exact_r: int) -> tuple[float, float]:
     """(lower, upper) probability that the next message is correct.
 
-    The outgoing message is the symbol maximizing (vote count) + w for
-    the observed symbol, w = D(epsilon)/D(xi), ties broken uniformly.
-    One loop per observation walks the f0 votes on the sent symbol; on a
-    wrong observation an outer loop first takes the f1 votes on the
-    observed cell, and f0 = f1 + w (integral w only) ties the two. At
-    each event the sent symbol and c - 1 other named symbols share the
-    score t, while k further cells share s votes.
-    ``_tie_pay(k, s, t, c, exact_r)`` pays the event; the exact step's
-    exact_r = dv pays every event exactly, and for dv <= 6 the bounded
-    step's does so except at integral weights.
+    Walks the cached ``_walk_plan`` of the weight class of
+    w = D(epsilon)/D(xi). An event's probability is the product of its
+    binomials: after a correct observation 1 - epsilon times f0 votes
+    at 1 - xi; after a wrong one epsilon times f1 votes at xi/(q - 1),
+    then f0 of the rest at (1 - xi)/(1 - xi/(q - 1)). Each binomial is
+    the product ``_binom_pmf`` forms and the pays are summed in the
+    order of the plan, so the step rounds as one that enumerates the
+    events anew.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
@@ -241,42 +324,26 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must be in [0, 1], got {xi}")
     check_epsilon(q, epsilon)
-    w = weight_ratio(q, epsilon, xi)
-    # weight_ratio snaps near-integral weights, so only an integral w
-    # lets the channel symbol tie a vote count
-    tie = w.is_integer()
+    right, wrong = _walk_plan(dv, q, exact_r,
+                              weight_class(weight_ratio(q, epsilon, xi), dv))
     s_tot = dv - 1
-    k = q - 1
     lo = up = 0.0
-
-    # correct observation: f0 votes land on the sent symbol, the rest
-    # fall uniformly on the k wrong cells; the sent symbol scores f0 + w
-    for f0 in range(s_tot + 1):
-        pf = _binom_pmf(f0, s_tot, 1.0 - xi) * (1.0 - epsilon)
-        s = s_tot - f0
-        t = f0 + math.floor(w)
-        if tie:
-            p_lo, p_up = _tie_pay(k, s, t, 1, exact_r)
-        else:
-            p_lo = p_up = multinomial_max_cdf(k, s, t)
+    for pf, (_, _, _, (p_lo, p_up)) in zip(_pmfs(right, s_tot, 1.0 - xi),
+                                           right):
+        pf *= 1.0 - epsilon
         lo += pf * p_lo
         up += pf * p_up
 
-    # wrong observation: one wrong cell carries the channel weight; by
-    # symmetry its identity is irrelevant, so it stands for all of them
-    p_cell1 = xi / k
-    for f1 in range(s_tot + 1):
-        pf1 = _binom_pmf(f1, s_tot, p_cell1) * epsilon
+    p_cell1 = xi / (q - 1)
+    # p_cell1 = 1 (q = 2, xi = 1) leaves every f1 with events no mass
+    pc = (1.0 - xi) / (1.0 - p_cell1) if p_cell1 < 1.0 else 1.0
+    for pf1, (_, _, rem, events) in zip(_pmfs(wrong, s_tot, p_cell1), wrong):
+        pf1 *= epsilon
         if pf1 == 0.0:
-            # adds nothing, and at q = 2, xi = 1 keeps pc from 0 / 0
             continue
-        rem = s_tot - f1
-        pc = (1.0 - xi) / (1.0 - p_cell1) if rem else 1.0
-        for f0 in range(f1 + math.ceil(w), rem + 1):
-            pf0 = _binom_pmf(f0, rem, pc) * pf1
-            c = 2 if f0 == f1 + w else 1
-            # the sent symbol must also beat the q - 2 remaining cells
-            p_lo, p_up = _tie_pay(k - 1, rem - f0, f0, c, exact_r)
+        for pf0, (_, _, _, (p_lo, p_up)) in zip(_pmfs(events, rem, pc),
+                                                events):
+            pf0 *= pf1
             lo += pf0 * p_lo
             up += pf0 * p_up
 
@@ -334,7 +401,7 @@ def _xi_bounds(p_lo: float, p_up: float, dc: int, q: int) -> tuple[float, float]
     at g = 0, otherwise extremes are at the endpoints.
     """
     o_lo = cn_step(p_lo, dc, q)
-    o_up = cn_step(p_up, dc, q)
+    o_up = o_lo if p_up == p_lo else cn_step(p_up, dc, q)
     o_min = min(o_lo, o_up)
     o_max = max(o_lo, o_up)
     if (dc - 1) % 2 == 0 and q * p_lo < 1.0 < q * p_up:

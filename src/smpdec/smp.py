@@ -40,7 +40,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .channel import check_epsilon, weight_ratio
+from .channel import check_epsilon, weight_class, weight_ratio
 from .code import CodeGraph
 
 __all__ = [
@@ -104,15 +104,6 @@ def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
     return f.mul_vec(code.inv_label, extrinsic)
 
 
-def _weight_class(w: float, dv: int) -> int:
-    """Where w > 0 falls among the vote counts 1..dv.
-
-    Class 2k lies strictly between k and k + 1 (below 1 for k = 0,
-    above dv for k = dv) and class 2k - 1 is w = k exactly.
-    """
-    return min(math.ceil(w) - 1, dv) + min(math.floor(w), dv)
-
-
 @lru_cache(maxsize=64)
 def _settled_iteration(schedule: XiSchedule, q: int, epsilon: float,
                        dv: int, l_max: int) -> int:
@@ -122,7 +113,7 @@ def _settled_iteration(schedule: XiSchedule, q: int, epsilon: float,
     a run asks the same; the cache is bounded so that a long-lived
     process does not keep every schedule it has decoded with.
     """
-    classes = [_weight_class(weight_ratio(q, epsilon, xi), dv)
+    classes = [weight_class(weight_ratio(q, epsilon, xi), dv)
                for xi in schedule.xi_values[:l_max]]
     settled = len(classes)
     while settled > 1 and classes[settled - 2] == classes[-1]:
@@ -247,7 +238,7 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     cand[:dv] = np.asarray(cn_to_vn).reshape(n, dv).T
     cand[dv] = y
     w = weight_ratio(code.field.q, epsilon, xi)
-    lead, flag, sel = _gather_offsets(dv, _weight_class(w, dv), n, rows)
+    lead, flag, sel = _gather_offsets(dv, weight_class(w, dv), n, rows)
     key = _pattern_key(cand)
     index = lead.take(key, axis=0)
     index += np.arange(n)[:, None]

@@ -16,8 +16,10 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from oracles import gf_inv, gf_mul
+import smpdec.analysis
 from smpdec.analysis import find_threshold
 from smpdec.channel import shannon_limit, weight_ratio
 from smpdec.code import sample_code
@@ -45,43 +47,45 @@ THRESHOLDS_RATE_HALF = {
 }
 
 #: Threshold searches frozen bit for bit, one (bracket end in float hex,
-#: density-evolution runs) per field order; every bracket of the table
-#: has width zero, so both its ends equal that value.
+#: density-evolution runs, their total iterations) per field order; every
+#: bracket of the table has width zero, so both its ends equal that value.
+#: The iteration total sees a change in when a run stops, which the
+#: bisection's grid of probes can hide from the bracket.
 FROZEN_BRACKETS = {
     (3, 5): (
-        ("0x1.f540000000000p-5", 13), ("0x1.f770000000000p-4", 13),
-        ("0x1.1162000000000p-3", 14), ("0x1.1af3000000000p-3", 14),
-        ("0x1.1f6a800000000p-3", 14), ("0x1.2197400000000p-3", 14),
-        ("0x1.22a6200000000p-3", 14), ("0x1.232bb00000000p-3", 14),
-        ("0x1.237df80000000p-3", 14),
+        ("0x1.f540000000000p-5", 13, 243), ("0x1.f770000000000p-4", 13, 7373),
+        ("0x1.1162000000000p-3", 14, 2625), ("0x1.1af3000000000p-3", 14, 1715),
+        ("0x1.1f6a800000000p-3", 14, 1860), ("0x1.2197400000000p-3", 14, 1754),
+        ("0x1.22a6200000000p-3", 14, 1533), ("0x1.232bb00000000p-3", 14, 1831),
+        ("0x1.237df80000000p-3", 14, 1969),
     ),
     (3, 6): (
-        ("0x1.4340000000000p-5", 13), ("0x1.6c50000000000p-4", 13),
-        ("0x1.a95c000000000p-4", 14), ("0x1.b846000000000p-4", 14),
-        ("0x1.bf71000000000p-4", 14), ("0x1.c2f7800000000p-4", 14),
-        ("0x1.c48fc00000000p-4", 14), ("0x1.c558e00000000p-4", 14),
-        ("0x1.c5bcb00000000p-4", 14),
+        ("0x1.4340000000000p-5", 13, 132), ("0x1.6c50000000000p-4", 13, 3013),
+        ("0x1.a95c000000000p-4", 14, 4148), ("0x1.b846000000000p-4", 14, 2173),
+        ("0x1.bf71000000000p-4", 14, 1607), ("0x1.c2f7800000000p-4", 14, 2161),
+        ("0x1.c48fc00000000p-4", 14, 2266), ("0x1.c558e00000000p-4", 14, 1811),
+        ("0x1.c5bcb00000000p-4", 14, 1801),
     ),
     (4, 8): (
-        ("0x1.a740000000000p-5", 13), ("0x1.4d90000000000p-4", 13),
-        ("0x1.b3dc000000000p-4", 14), ("0x1.18f5000000000p-3", 14),
-        ("0x1.4f7d800000000p-3", 14), ("0x1.6877400000000p-3", 14),
-        ("0x1.7461600000000p-3", 14), ("0x1.7a54300000000p-3", 14),
-        ("0x1.7d31080000000p-3", 14),
+        ("0x1.a740000000000p-5", 13, 2121), ("0x1.4d90000000000p-4", 13, 385),
+        ("0x1.b3dc000000000p-4", 14, 301), ("0x1.18f5000000000p-3", 14, 394),
+        ("0x1.4f7d800000000p-3", 14, 4611), ("0x1.6877400000000p-3", 14, 4055),
+        ("0x1.7461600000000p-3", 14, 4360), ("0x1.7a54300000000p-3", 14, 4016),
+        ("0x1.7d31080000000p-3", 14, 2918),
     ),
     (5, 10): (
-        ("0x1.5540000000000p-5", 13), ("0x1.4c10000000000p-4", 13),
-        ("0x1.9c3c000000000p-4", 14), ("0x1.dc5e000000000p-4", 14),
-        ("0x1.16f0800000000p-3", 14), ("0x1.4a71400000000p-3", 14),
-        ("0x1.6a95200000000p-3", 14), ("0x1.7a14700000000p-3", 14),
-        ("0x1.81aec80000000p-3", 14),
+        ("0x1.5540000000000p-5", 13, 546), ("0x1.4c10000000000p-4", 13, 1300),
+        ("0x1.9c3c000000000p-4", 14, 693), ("0x1.dc5e000000000p-4", 14, 365),
+        ("0x1.16f0800000000p-3", 14, 265), ("0x1.4a71400000000p-3", 14, 2678),
+        ("0x1.6a95200000000p-3", 14, 3431), ("0x1.7a14700000000p-3", 14, 3274),
+        ("0x1.81aec80000000p-3", 14, 2948),
     ),
     (6, 12): (
-        ("0x1.44c0000000000p-5", 13), ("0x1.2e70000000000p-4", 13),
-        ("0x1.9dfc000000000p-4", 14), ("0x1.cbba000000000p-4", 14),
-        ("0x1.ef65000000000p-4", 14), ("0x1.14eac00000000p-3", 14),
-        ("0x1.3eada00000000p-3", 14), ("0x1.5cf1b00000000p-3", 14),
-        ("0x1.6b99d80000000p-3", 14),
+        ("0x1.44c0000000000p-5", 13, 319), ("0x1.2e70000000000p-4", 13, 324),
+        ("0x1.9dfc000000000p-4", 14, 4367), ("0x1.cbba000000000p-4", 14, 1601),
+        ("0x1.ef65000000000p-4", 14, 294), ("0x1.14eac00000000p-3", 14, 310),
+        ("0x1.3eada00000000p-3", 14, 1599), ("0x1.5cf1b00000000p-3", 14, 3185),
+        ("0x1.6b99d80000000p-3", 14, 3038),
     ),
 }
 
@@ -97,49 +101,67 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
-def _frozen(res, frozen: tuple[str, int]) -> bool:
-    """Whether a threshold search reproduces its frozen bracket and runs."""
-    end, runs = frozen
+@pytest.fixture
+def de_iterations(monkeypatch):
+    """Running total of the iterations of every DE run a search makes."""
+    total = [0]
+    de_run = smpdec.analysis.de_run
+
+    def counting(*args, **kwargs):
+        trace = de_run(*args, **kwargs)
+        total[0] += trace.iterations_run
+        return trace
+
+    monkeypatch.setattr(smpdec.analysis, "de_run", counting)
+    return total
+
+
+def _frozen(res, iterations: int, frozen: tuple[str, int, int]) -> bool:
+    """Whether a threshold search reproduces its frozen bracket, runs and
+    iteration total."""
+    end, runs, total = frozen
     return (res.eps_star_lower.hex(), res.eps_star_upper.hex(),
-            res.evaluations) == (end, end, runs)
+            res.evaluations, iterations) == (end, end, runs, total)
 
 
-def test_acceptance_01_threshold_table_3_5():
+def test_acceptance_01_threshold_table_3_5(de_iterations):
     start = time.perf_counter()
     devs = []
     same = 0
     for q, want, frozen in zip(FIELD_ORDERS, THRESHOLDS_3_5,
                                FROZEN_BRACKETS[(3, 5)]):
+        de_iterations[0] = 0
         res = find_threshold(3, 5, q)
         if q == 2:
             assert res.mode == "exact"
         devs.append(abs(res.eps_star_lower - want))
-        same += _frozen(res, frozen)
+        same += _frozen(res, de_iterations[0], frozen)
     elapsed = time.perf_counter() - start
     ok = max(devs) <= 1e-3 and same == len(FIELD_ORDERS) and elapsed < 300.0
     _report("01 threshold table (3,5)", ok,
             f"max deviation {max(devs):.1e}, {same} of {len(FIELD_ORDERS)} "
-            f"brackets bit-identical, {elapsed:.1f}s")
+            f"searches bit-identical, {elapsed:.1f}s")
 
 
-def test_acceptance_02_threshold_tables_rate_half():
+def test_acceptance_02_threshold_tables_rate_half(de_iterations):
     start = time.perf_counter()
     worst = ("", 0.0)
     same = cells = 0
     for (dv, dc), wants in THRESHOLDS_RATE_HALF.items():
         for q, want, frozen in zip(FIELD_ORDERS, wants,
                                    FROZEN_BRACKETS[(dv, dc)]):
+            de_iterations[0] = 0
             res = find_threshold(dv, dc, q)
             dev = abs(res.eps_star_lower - want)
             if dev > worst[1]:
                 worst = (f"({dv},{dc}) q={q}", dev)
-            same += _frozen(res, frozen)
+            same += _frozen(res, de_iterations[0], frozen)
             cells += 1
     elapsed = time.perf_counter() - start
     ok = worst[1] <= 1e-3 and same == cells
     _report("02 threshold tables rate 1/2", ok,
             f"worst cell {worst[0]} deviation {worst[1]:.1e}, {same} of "
-            f"{cells} brackets bit-identical, {elapsed:.1f}s")
+            f"{cells} searches bit-identical, {elapsed:.1f}s")
 
 
 def test_acceptance_03_shannon_limit_columns():

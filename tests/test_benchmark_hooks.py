@@ -39,8 +39,11 @@ def test_every_wrapped_target_is_callable(layers):
 
 
 def test_ball_count_cache_can_be_cleared():
-    # workloads.Grid.run clears it before every cell for a cold DE cache
-    assert callable(smpdec.de._capped_assignments.cache_clear)
+    # workloads.Grid.run clears the first before every cell for a cold DE
+    # cache; a cold grid pass clears every density-evolution cache
+    for cached in (smpdec.de._capped_assignments, smpdec.de._tie_pay,
+                   smpdec.de._walk_plan):
+        assert callable(cached.cache_clear)
 
 
 @pytest.mark.parametrize("result_type, name", [

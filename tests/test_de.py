@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smpdec.channel import weight_D, weight_ratio
+from smpdec.channel import weight_class, weight_D, weight_ratio
 from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
                        _xi_bounds, cn_step, de_run, multinomial_max_cdf,
                        multinomial_max_eq_count_dist, resolve_mode,
@@ -135,7 +135,7 @@ def gallager_b_step_oracle(xi: float, epsilon: float, dv: int) -> float:
     return p_correct
 
 
-def solve_eps_for_integral_w(xi: float, q: int, w_target: int) -> float:
+def solve_eps_for_integral_w(xi: float, q: int, w_target: float) -> float:
     """Find eps with D(eps) = w_target * D(xi) by bisection."""
     target = w_target * weight_D(q, xi)
     lo, hi = 1e-12, (q - 1) / q - 1e-12
@@ -320,6 +320,25 @@ def test_vn_exact_integral_weight_ties():
         assert got == pytest.approx(want, abs=1e-10), (dv, q)
 
 
+@pytest.mark.parametrize("q", [4, 8])
+@pytest.mark.parametrize("dv", [2, 3, 4, 5])
+def test_vn_steps_match_brute_force_in_every_weight_class(dv, q):
+    # below 1, every gap (k, k + 1), every integral weight up to dv and
+    # two weights past it, one integral; below dv = 6 the bounded step
+    # pays every tie exactly, so both its ends meet the oracle too
+    xi = 0.3
+    targets = [(0.5, 0)] + [(k + 0.5, 2 * k) for k in range(1, dv)]
+    targets += [(k, 2 * k - 1) for k in range(1, dv + 1)]
+    targets += [(dv + 0.5, 2 * dv), (dv + 1, 2 * dv)]
+    for w, w_class in targets:
+        eps = solve_eps_for_integral_w(xi, q, w)
+        assert weight_class(weight_ratio(q, eps, xi), dv) == w_class, w
+        want = vn_oracle(xi, eps, dv, q)
+        bound = vn_step_bounded(xi, eps, dv, q)
+        for got in (vn_step_exact(xi, eps, dv, q), bound.lower, bound.upper):
+            assert got == pytest.approx(want, abs=1e-12), (w, got, want)
+
+
 def test_binom_pmf_log_space_matches_direct_product():
     # n > 500 takes the log-space branch; the direct product is still
     # finite at n = 600
@@ -327,6 +346,21 @@ def test_binom_pmf_log_space_matches_direct_product():
     for j, p in ((0, 0.001), (300, 0.5), (17, 0.03), (599, 0.999)):
         want = math.comb(n, j) * p ** j * (1 - p) ** (n - j)
         assert _binom_pmf(j, n, p) == pytest.approx(want, rel=1e-11), (j, p)
+
+
+# Exact steps at q = 2 whose binomials take _binom_pmf's log-space
+# branch (n = dv - 1 > 500), frozen bit for bit: a direct product of
+# powers rounds the first to 1.0 and overflows its coefficient at dv = 1100.
+FROZEN_LARGE_DV_STEPS = [
+    (0.1, 0.05, 502, "0x1.fffffffffff61p-1"),
+    (0.45, 0.3, 600, "0x1.fcbab3a6bf6b8p-1"),
+    (0.4, 0.35, 1100, "0x1.ffffffffeb9a7p-1"),
+]
+
+
+@pytest.mark.parametrize("xi,eps,dv,exact", FROZEN_LARGE_DV_STEPS)
+def test_vn_exact_large_dv_matches_frozen_values(xi, eps, dv, exact):
+    assert vn_step_exact(xi, eps, dv, 2).hex() == exact
 
 
 def test_vn_exact_q2_matches_gallager_b():
@@ -661,3 +695,21 @@ def test_bounded_prob_snaps_rejects_and_clamps():
         BoundedProb(0.5 + 2e-9, 0.5)
     clamped = BoundedProb(-0.25, 1.5)
     assert (clamped.lower, clamped.upper) == (0.0, 1.0)
+    # in-range ends, 0.0 and 1.0 among them, come back bit for bit
+    for lo, up in ((0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                   (0.25, 0.75), (5e-324, 1.0 - 2 ** -53), (0.3, 0.3)):
+        ends = BoundedProb(lo, up)
+        assert (ends.lower.hex(), ends.upper.hex()) == (lo.hex(), up.hex())
+    # ends out of range are clamped, and a NaN end passes through
+    nan = float("nan")
+    for lo, up, want in (
+            (-1.0, -0.5, ("0x0.0p+0", "0x0.0p+0")),
+            (1.25, 1.5, ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+            (0.25, 1.5, ("0x1.0000000000000p-2", "0x1.0000000000000p+0")),
+            (1.0 + 1e-10, 1.0,
+             ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+            (nan, 0.5, ("nan", "0x1.0000000000000p-1")),
+            (0.5, nan, ("0x1.0000000000000p-1", "nan")),
+            (nan, nan, ("nan", "nan"))):
+        ends = BoundedProb(lo, up)
+        assert (ends.lower.hex(), ends.upper.hex()) == want, (lo, up)
