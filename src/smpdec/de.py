@@ -218,24 +218,22 @@ _LOG_SPACE_N = 500
 
 
 def _binom_pmf(j: int, n: int, p: float) -> float:
-    """Binomial pmf, exact combinatorics for small n, log-space beyond."""
+    """Binomial pmf in log space, for n beyond _LOG_SPACE_N trials."""
     if p <= 0.0:
         return 1.0 if j == 0 else 0.0
     if p >= 1.0:
         return 1.0 if j == n else 0.0
-    if n <= _LOG_SPACE_N:
-        return math.comb(n, j) * p ** j * (1.0 - p) ** (n - j)
     return math.exp(
         math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
         + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
 def _pmfs(terms: tuple, n: int, p: float) -> list[float]:
-    """``_binom_pmf(j, n, p)`` for each (coef, j, n - j, _) of ``terms``.
+    """Binomial pmf at j of n trials for each (coef, j, n - j, _) of ``terms``.
 
     Up to _LOG_SPACE_N trials each is coef * p ** j * (1 - p) ** (n - j),
-    the product ``_binom_pmf`` forms, and its value at p = 0 or 1 too;
-    beyond, it is ``_binom_pmf``'s log-space value.
+    which also holds at p = 0 and 1; beyond, it is ``_binom_pmf``'s
+    log-space value.
     """
     if n > _LOG_SPACE_N:
         return [_binom_pmf(j, n, p) for _, j, _, _ in terms]
@@ -313,9 +311,8 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     binomials: after a correct observation 1 - epsilon times f0 votes
     at 1 - xi; after a wrong one epsilon times f1 votes at xi/(q - 1),
     then f0 of the rest at (1 - xi)/(1 - xi/(q - 1)). Each binomial is
-    the product ``_binom_pmf`` forms and the pays are summed in the
-    order of the plan, so the step rounds as one that enumerates the
-    events anew.
+    ``_pmfs``'s value and the pays are summed in the order of the plan,
+    so the step rounds as one that enumerates the events anew.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")

@@ -340,8 +340,7 @@ def test_vn_steps_match_brute_force_in_every_weight_class(dv, q):
 
 
 def test_binom_pmf_log_space_matches_direct_product():
-    # n > 500 takes the log-space branch; the direct product is still
-    # finite at n = 600
+    # the direct product is still finite at n = 600
     n = 600
     for j, p in ((0, 0.001), (300, 0.5), (17, 0.03), (599, 0.999)):
         want = math.comb(n, j) * p ** j * (1 - p) ** (n - j)
@@ -349,7 +348,7 @@ def test_binom_pmf_log_space_matches_direct_product():
 
 
 # Exact steps at q = 2 whose binomials take _binom_pmf's log-space
-# branch (n = dv - 1 > 500), frozen bit for bit: a direct product of
+# form (n = dv - 1 > 500), frozen bit for bit: a direct product of
 # powers rounds the first to 1.0 and overflows its coefficient at dv = 1100.
 FROZEN_LARGE_DV_STEPS = [
     (0.1, 0.05, 502, "0x1.fffffffffff61p-1"),
