@@ -11,8 +11,10 @@ further symbols at the maximum exactly, so for dv <= 6 its interval
 is a point except at an integral channel weight.
 """
 
+import hashlib
 import itertools
 import math
+import struct
 import time
 
 import numpy as np
@@ -47,45 +49,67 @@ THRESHOLDS_RATE_HALF = {
 }
 
 #: Threshold searches frozen bit for bit, one (bracket end in float hex,
-#: density-evolution runs, their total iterations) per field order; every
-#: bracket of the table has width zero, so both its ends equal that value.
-#: The iteration total sees a change in when a run stops, which the
-#: bisection's grid of probes can hide from the bracket.
+#: density-evolution runs, their total iterations, record digest) per
+#: field order; every bracket of the table has width zero, so both its
+#: ends equal that value. The iteration total sees a change in when a run
+#: stops, which the bisection's grid of probes can hide from the bracket;
+#: the digest (the first 16 hex digits of the SHA-256 of every record of
+#: every run, see ``_record_bytes``) sees a change in any record's last bit.
 FROZEN_BRACKETS = {
     (3, 5): (
-        ("0x1.f540000000000p-5", 13, 243), ("0x1.f770000000000p-4", 13, 7373),
-        ("0x1.1162000000000p-3", 14, 2625), ("0x1.1af3000000000p-3", 14, 1715),
-        ("0x1.1f6a800000000p-3", 14, 1860), ("0x1.2197400000000p-3", 14, 1754),
-        ("0x1.22a6200000000p-3", 14, 1533), ("0x1.232bb00000000p-3", 14, 1831),
-        ("0x1.237df80000000p-3", 14, 1969),
+        ("0x1.f540000000000p-5", 13, 243, "a70d1f9ccc720195"),
+        ("0x1.f770000000000p-4", 13, 7373, "ee669edc86bdb0bf"),
+        ("0x1.1162000000000p-3", 14, 2625, "89725ae2b1e694aa"),
+        ("0x1.1af3000000000p-3", 14, 1715, "d377b2ea830142b2"),
+        ("0x1.1f6a800000000p-3", 14, 1860, "7c53c14dbc85cd6c"),
+        ("0x1.2197400000000p-3", 14, 1754, "0c7b533687c2b776"),
+        ("0x1.22a6200000000p-3", 14, 1533, "2c8537a7dbc8a2b8"),
+        ("0x1.232bb00000000p-3", 14, 1831, "a537958920c94650"),
+        ("0x1.237df80000000p-3", 14, 1969, "636e1d932060f0b7"),
     ),
     (3, 6): (
-        ("0x1.4340000000000p-5", 13, 132), ("0x1.6c50000000000p-4", 13, 3013),
-        ("0x1.a95c000000000p-4", 14, 4148), ("0x1.b846000000000p-4", 14, 2173),
-        ("0x1.bf71000000000p-4", 14, 1607), ("0x1.c2f7800000000p-4", 14, 2161),
-        ("0x1.c48fc00000000p-4", 14, 2266), ("0x1.c558e00000000p-4", 14, 1811),
-        ("0x1.c5bcb00000000p-4", 14, 1801),
+        ("0x1.4340000000000p-5", 13, 132, "b5eb8c99e6357b65"),
+        ("0x1.6c50000000000p-4", 13, 3013, "e7385a2236c26d2f"),
+        ("0x1.a95c000000000p-4", 14, 4148, "81a5c0bba87a34d7"),
+        ("0x1.b846000000000p-4", 14, 2173, "281cdd4d91397e8f"),
+        ("0x1.bf71000000000p-4", 14, 1607, "bbdd4d65a06194cf"),
+        ("0x1.c2f7800000000p-4", 14, 2161, "bcf1ff7ca38fcb8c"),
+        ("0x1.c48fc00000000p-4", 14, 2266, "f495c4a81e560254"),
+        ("0x1.c558e00000000p-4", 14, 1811, "ada25d8654c78841"),
+        ("0x1.c5bcb00000000p-4", 14, 1801, "3cee960626137a09"),
     ),
     (4, 8): (
-        ("0x1.a740000000000p-5", 13, 2121), ("0x1.4d90000000000p-4", 13, 385),
-        ("0x1.b3dc000000000p-4", 14, 301), ("0x1.18f5000000000p-3", 14, 394),
-        ("0x1.4f7d800000000p-3", 14, 4611), ("0x1.6877400000000p-3", 14, 4055),
-        ("0x1.7461600000000p-3", 14, 4360), ("0x1.7a54300000000p-3", 14, 4016),
-        ("0x1.7d31080000000p-3", 14, 2918),
+        ("0x1.a740000000000p-5", 13, 2121, "704bdcbea9953720"),
+        ("0x1.4d90000000000p-4", 13, 385, "37c279bf924853fb"),
+        ("0x1.b3dc000000000p-4", 14, 301, "99ba2f14b077b7f6"),
+        ("0x1.18f5000000000p-3", 14, 394, "c8d70ca01e216db3"),
+        ("0x1.4f7d800000000p-3", 14, 4611, "081f826c9c55c2ba"),
+        ("0x1.6877400000000p-3", 14, 4055, "2a4faa76349113fa"),
+        ("0x1.7461600000000p-3", 14, 4360, "cd84198e055b8518"),
+        ("0x1.7a54300000000p-3", 14, 4016, "405112d381249643"),
+        ("0x1.7d31080000000p-3", 14, 2918, "358de766a314b295"),
     ),
     (5, 10): (
-        ("0x1.5540000000000p-5", 13, 546), ("0x1.4c10000000000p-4", 13, 1300),
-        ("0x1.9c3c000000000p-4", 14, 693), ("0x1.dc5e000000000p-4", 14, 365),
-        ("0x1.16f0800000000p-3", 14, 265), ("0x1.4a71400000000p-3", 14, 2678),
-        ("0x1.6a95200000000p-3", 14, 3431), ("0x1.7a14700000000p-3", 14, 3274),
-        ("0x1.81aec80000000p-3", 14, 2948),
+        ("0x1.5540000000000p-5", 13, 546, "193c162d0b1c4c69"),
+        ("0x1.4c10000000000p-4", 13, 1300, "e473112f60901ba8"),
+        ("0x1.9c3c000000000p-4", 14, 693, "3e2a68443508653a"),
+        ("0x1.dc5e000000000p-4", 14, 365, "6f471a377947337e"),
+        ("0x1.16f0800000000p-3", 14, 265, "ba75d3a5798d5da6"),
+        ("0x1.4a71400000000p-3", 14, 2678, "aa007b1fb5643026"),
+        ("0x1.6a95200000000p-3", 14, 3431, "a15fbaaf0722d63c"),
+        ("0x1.7a14700000000p-3", 14, 3274, "4e04c84c986a7c0c"),
+        ("0x1.81aec80000000p-3", 14, 2948, "034c430379fbdc2c"),
     ),
     (6, 12): (
-        ("0x1.44c0000000000p-5", 13, 319), ("0x1.2e70000000000p-4", 13, 324),
-        ("0x1.9dfc000000000p-4", 14, 4367), ("0x1.cbba000000000p-4", 14, 1601),
-        ("0x1.ef65000000000p-4", 14, 294), ("0x1.14eac00000000p-3", 14, 310),
-        ("0x1.3eada00000000p-3", 14, 1599), ("0x1.5cf1b00000000p-3", 14, 3185),
-        ("0x1.6b99d80000000p-3", 14, 3038),
+        ("0x1.44c0000000000p-5", 13, 319, "a59e7c9fb4226def"),
+        ("0x1.2e70000000000p-4", 13, 324, "9bbbd233d5ae01cb"),
+        ("0x1.9dfc000000000p-4", 14, 4367, "a621e8c90732d3ed"),
+        ("0x1.cbba000000000p-4", 14, 1601, "a57a8d03e867770d"),
+        ("0x1.ef65000000000p-4", 14, 294, "6277c0ceaecb3a0e"),
+        ("0x1.14eac00000000p-3", 14, 310, "c571f86b48bb389b"),
+        ("0x1.3eada00000000p-3", 14, 1599, "478b50f5f27603b8"),
+        ("0x1.5cf1b00000000p-3", 14, 3185, "88a84153db107ccd"),
+        ("0x1.6b99d80000000p-3", 14, 3038, "33aa381bf8830fb9"),
     ),
 }
 
@@ -101,41 +125,66 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag}: {detail}"
 
 
+def _record_bytes(trace) -> bytes:
+    """Every record of a DE run, its four ends packed as float64."""
+    ends = [end for rec in trace.records
+            for end in (rec.p0.lower, rec.p0.upper, rec.xi.lower, rec.xi.upper)]
+    return struct.pack(f"<{len(ends)}d", *ends)
+
+
+class _SearchTally:
+    """The DE runs of one threshold search: their total iterations and a
+    digest of all their records, in run order."""
+
+    def __init__(self) -> None:
+        self.iterations = 0
+        self.digest = hashlib.sha256()
+
+    def add(self, trace) -> None:
+        self.iterations += trace.iterations_run
+        self.digest.update(_record_bytes(trace))
+
+    def matches(self, res, frozen: tuple[str, int, int, str]) -> bool:
+        """Whether the search reproduces its frozen bracket, runs,
+        iteration total and record digest."""
+        end, runs, total, digest = frozen
+        return ((res.eps_star_lower.hex(), res.eps_star_upper.hex(),
+                 res.evaluations, self.iterations,
+                 self.digest.hexdigest()[:16])
+                == (end, end, runs, total, digest))
+
+
 @pytest.fixture
-def de_iterations(monkeypatch):
-    """Running total of the iterations of every DE run a search makes."""
-    total = [0]
+def de_runs(monkeypatch):
+    """Starts a tally of every DE run the next threshold search makes."""
+    tally = [_SearchTally()]
     de_run = smpdec.analysis.de_run
 
     def counting(*args, **kwargs):
         trace = de_run(*args, **kwargs)
-        total[0] += trace.iterations_run
+        tally[0].add(trace)
         return trace
 
+    def start() -> _SearchTally:
+        tally[0] = _SearchTally()
+        return tally[0]
+
     monkeypatch.setattr(smpdec.analysis, "de_run", counting)
-    return total
+    return start
 
 
-def _frozen(res, iterations: int, frozen: tuple[str, int, int]) -> bool:
-    """Whether a threshold search reproduces its frozen bracket, runs and
-    iteration total."""
-    end, runs, total = frozen
-    return (res.eps_star_lower.hex(), res.eps_star_upper.hex(),
-            res.evaluations, iterations) == (end, end, runs, total)
-
-
-def test_acceptance_01_threshold_table_3_5(de_iterations):
+def test_acceptance_01_threshold_table_3_5(de_runs):
     start = time.perf_counter()
     devs = []
     same = 0
     for q, want, frozen in zip(FIELD_ORDERS, THRESHOLDS_3_5,
                                FROZEN_BRACKETS[(3, 5)]):
-        de_iterations[0] = 0
+        tally = de_runs()
         res = find_threshold(3, 5, q)
         if q == 2:
             assert res.mode == "exact"
         devs.append(abs(res.eps_star_lower - want))
-        same += _frozen(res, de_iterations[0], frozen)
+        same += tally.matches(res, frozen)
     elapsed = time.perf_counter() - start
     ok = max(devs) <= 1e-3 and same == len(FIELD_ORDERS) and elapsed < 300.0
     _report("01 threshold table (3,5)", ok,
@@ -143,19 +192,19 @@ def test_acceptance_01_threshold_table_3_5(de_iterations):
             f"searches bit-identical, {elapsed:.1f}s")
 
 
-def test_acceptance_02_threshold_tables_rate_half(de_iterations):
+def test_acceptance_02_threshold_tables_rate_half(de_runs):
     start = time.perf_counter()
     worst = ("", 0.0)
     same = cells = 0
     for (dv, dc), wants in THRESHOLDS_RATE_HALF.items():
         for q, want, frozen in zip(FIELD_ORDERS, wants,
                                    FROZEN_BRACKETS[(dv, dc)]):
-            de_iterations[0] = 0
+            tally = de_runs()
             res = find_threshold(dv, dc, q)
             dev = abs(res.eps_star_lower - want)
             if dev > worst[1]:
                 worst = (f"({dv},{dc}) q={q}", dev)
-            same += _frozen(res, de_iterations[0], frozen)
+            same += tally.matches(res, frozen)
             cells += 1
     elapsed = time.perf_counter() - start
     ok = worst[1] <= 1e-3 and same == cells
