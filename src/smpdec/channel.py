@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -151,22 +152,30 @@ PROB_FLOOR = 1e-12
 WEIGHT_TIE_TOL = 1e-9
 
 
+def _clamped_D(q: int, p: float) -> float:
+    """weight_D at p clamped into [PROB_FLOOR, (q-1)/q - PROB_FLOOR]."""
+    return weight_D(q, min(max(p, PROB_FLOOR), (q - 1) / q - PROB_FLOOR))
+
+
+#: D(epsilon) of a decode or a density-evolution run, formed once per
+#: (q, epsilon) rather than once per weight; bounded like the decoder's
+#: other per-run caches.
+_channel_D = lru_cache(maxsize=64)(_clamped_D)
+
+
 def weight_ratio(q: int, epsilon: float, xi: float) -> float:
     """Channel-versus-vote weight D(epsilon) / D(xi), with clamping.
 
     Both arguments are clamped into [PROB_FLOOR, (q-1)/q - PROB_FLOOR]
-    so the ratio is finite and strictly positive even at the endpoints.
-    A ratio within WEIGHT_TIE_TOL of an integer r >= 1 is returned as
-    exactly r. This is the one score-tie rule of the decoder and of
-    density evolution: the channel symbol ties a vote count iff the
-    weight is integral. A weight below 1 - WEIGHT_TIE_TOL is never
-    snapped, so a vanishing weight still lets the channel symbol win.
+    so the ratio is finite and strictly positive even at the endpoints;
+    the clamped D(epsilon) is cached per (q, epsilon). A ratio within
+    WEIGHT_TIE_TOL of an integer r >= 1 is returned as exactly r. This
+    is the one score-tie rule of the decoder and of density evolution:
+    the channel symbol ties a vote count iff the weight is integral. A
+    weight below 1 - WEIGHT_TIE_TOL is never snapped, so a vanishing
+    weight still lets the channel symbol win.
     """
-    lo = PROB_FLOOR
-    hi = (q - 1) / q - PROB_FLOOR
-    eps_c = min(max(epsilon, lo), hi)
-    xi_c = min(max(xi, lo), hi)
-    w = weight_D(q, eps_c) / weight_D(q, xi_c)
+    w = _channel_D(q, epsilon) / _clamped_D(q, xi)
     r = round(w)
     if r >= 1 and abs(w - r) <= WEIGHT_TIE_TOL:
         return float(r)
@@ -184,4 +193,5 @@ def weight_class(w: float, dv: int) -> int:
     vote count. The decoder's tie tables and density evolution's step
     plans are both keyed by it.
     """
-    return min(math.ceil(w) - 1, dv) + min(math.floor(w), dv)
+    k = math.ceil(w)
+    return 2 * k - 2 + (w == k) if k <= dv else 2 * dv

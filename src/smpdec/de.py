@@ -15,10 +15,12 @@ vote-count events and differ only in how a score tie pays out:
 
 Both walk a plan of a step's vote-count events that is built once per
 weight class (``channel.weight_class``, the decoder's tie rule) and
-holds each event's binomial coefficient, exponents and payout; a step
-only multiplies out its binomials and sums. A bounded iteration takes
-one step while its xi interval is a point, which serves both bounds,
-and two otherwise, one per bound.
+holds each event's binomial coefficient, exponents and payout. A step
+finds its class from D(xi) alone, as ``weight_ratio`` forms D(epsilon)
+once per (q, epsilon), then multiplies out each binomial in its walk
+loop and sums. A bounded iteration takes one step while its xi
+interval is a point, which serves both bounds, and two otherwise, one
+per bound; a point xi interval also takes one check-node step.
 
 ``de_run`` iterates either flavour and reports the full trajectory, from
 which decoder weight schedules and convergence thresholds are derived.
@@ -68,7 +70,9 @@ class BoundedProb:
     def __post_init__(self) -> None:
         if 0.0 <= self.lower <= self.upper <= 1.0:
             return
-        # NaN fails every comparison and passes through the clamp
+        # NaN fails every comparison, the fast path's among them
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"NaN end in [{self.lower}, {self.upper}]")
         lo = min(max(self.lower, 0.0), 1.0)
         up = min(max(self.upper, 0.0), 1.0)
         if lo > up:
@@ -228,19 +232,6 @@ def _binom_pmf(j: int, n: int, p: float) -> float:
         + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
-def _pmfs(terms: tuple, n: int, p: float) -> list[float]:
-    """Binomial pmf at j of n trials for each (coef, j, n - j, _) of ``terms``.
-
-    Up to _LOG_SPACE_N trials each is coef * p ** j * (1 - p) ** (n - j),
-    which also holds at p = 0 and 1; beyond, it is ``_binom_pmf``'s
-    log-space value.
-    """
-    if n > _LOG_SPACE_N:
-        return [_binom_pmf(j, n, p) for _, j, _, _ in terms]
-    b = 1.0 - p
-    return [coef * p ** j * b ** m for coef, j, m, _ in terms]
-
-
 @lru_cache(maxsize=None)
 def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
     """The vote-count events of a variable-node step, paid once.
@@ -252,16 +243,17 @@ def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
     class ties the channel symbol with a vote count. Classes 2dv - 1
     and 2dv win every correct observation and no wrong one.
 
-    Returns (right, wrong) in the step's summation order, as terms
-    (coef, j, n - j, pay) with coef = C(n, j) as a float up to
-    _LOG_SPACE_N trials. right has a term per number f0 of the dv - 1
-    votes on the sent symbol after a correct observation; the others
-    fall uniformly on the k = q - 1 wrong cells. After a wrong
+    Returns (right, wrong) in the step's summation order. right has a
+    term (coef, j, n - j, pay_lower, pay_upper) per number f0 of the
+    dv - 1 votes on the sent symbol after a correct observation; the
+    others fall uniformly on the k = q - 1 wrong cells. coef is C(n, j)
+    as a float up to _LOG_SPACE_N trials and None beyond. After a wrong
     observation one wrong cell carries the weight and, by symmetry,
-    stands for all of them. wrong has a term per number f1 of votes on
-    it that leaves the sent symbol a chance, whose pay is its events: a
-    term per number f0 >= f1 + ceil(w) of the rem = dv - 1 - f1 other
-    votes on the sent symbol; f0 = f1 + w ties the two.
+    stands for all of them. wrong has a term (coef, j, n - j, events)
+    per number f1 of votes on it that leaves the sent symbol a chance:
+    events holds a term like right's per number f0 >= f1 + ceil(w) of
+    the rem = dv - 1 - f1 other votes on the sent symbol; f0 = f1 + w
+    ties the two.
 
     At each event the sent symbol and c - 1 other named symbols share
     the score t, while k' further cells share s votes; the event pays
@@ -275,9 +267,9 @@ def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
     floor_w = (w_class + 1) // 2
     tie = w_class % 2 == 1
 
-    def term(n: int, j: int, pay) -> tuple:
+    def term(n: int, j: int, *pay) -> tuple:
         coef = float(math.comb(n, j)) if n <= _LOG_SPACE_N else None
-        return coef, j, n - j, pay
+        return coef, j, n - j, *pay
 
     right = []
     for f0 in range(s_tot + 1):
@@ -286,16 +278,16 @@ def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
             pay = _tie_pay(k, s, t, 1, exact_r)
         else:
             pay = (multinomial_max_cdf(k, s, t),) * 2
-        right.append(term(s_tot, f0, pay))
+        right.append(term(s_tot, f0, *pay))
 
     wrong = []
     for f1 in range(s_tot + 1):
         rem = s_tot - f1
         # the sent symbol must also beat the q - 2 remaining cells
         events = tuple(
-            term(rem, f0, _tie_pay(k - 1, rem - f0, f0,
-                                   2 if tie and f0 == f1 + floor_w else 1,
-                                   exact_r))
+            term(rem, f0, *_tie_pay(k - 1, rem - f0, f0,
+                                    2 if tie and f0 == f1 + floor_w else 1,
+                                    exact_r))
             for f0 in range(f1 + floor_w + (not tie), rem + 1))
         if events:
             wrong.append(term(s_tot, f1, events))
@@ -310,8 +302,11 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     w = D(epsilon)/D(xi). An event's probability is the product of its
     binomials: after a correct observation 1 - epsilon times f0 votes
     at 1 - xi; after a wrong one epsilon times f1 votes at xi/(q - 1),
-    then f0 of the rest at (1 - xi)/(1 - xi/(q - 1)). Each binomial is
-    ``_pmfs``'s value and the pays are summed in the order of the plan,
+    then f0 of the rest at (1 - xi)/(1 - xi/(q - 1)). A binomial at p
+    is coef * p ** j * (1 - p) ** (n - j), which also holds at p = 0
+    and 1, or ``_binom_pmf`` beyond _LOG_SPACE_N trials. It is formed
+    in the walk loop, multiplied by its observation's probability and
+    then by its pay, and the pays are summed in the order of the plan,
     so the step rounds as one that enumerates the events anew.
     """
     if q < 2:
@@ -323,26 +318,33 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     check_epsilon(q, epsilon)
     right, wrong = _walk_plan(dv, q, exact_r,
                               weight_class(weight_ratio(q, epsilon, xi), dv))
-    s_tot = dv - 1
     lo = up = 0.0
-    for pf, (_, _, _, (p_lo, p_up)) in zip(_pmfs(right, s_tot, 1.0 - xi),
-                                           right):
-        pf *= 1.0 - epsilon
+    # after a correct observation
+    pf1 = 1.0 - epsilon
+    p = 1.0 - xi
+    b = 1.0 - p
+    for coef, j, m, p_lo, p_up in right:
+        pf = (coef * p ** j * b ** m if coef
+              else _binom_pmf(j, j + m, p)) * pf1
         lo += pf * p_lo
         up += pf * p_up
 
+    # after a wrong one, per f1
     p_cell1 = xi / (q - 1)
+    b1 = 1.0 - p_cell1
     # p_cell1 = 1 (q = 2, xi = 1) leaves every f1 with events no mass
-    pc = (1.0 - xi) / (1.0 - p_cell1) if p_cell1 < 1.0 else 1.0
-    for pf1, (_, _, rem, events) in zip(_pmfs(wrong, s_tot, p_cell1), wrong):
-        pf1 *= epsilon
+    p = (1.0 - xi) / b1 if p_cell1 < 1.0 else 1.0
+    b = 1.0 - p
+    for coef, j, m, events in wrong:
+        pf1 = (coef * p_cell1 ** j * b1 ** m if coef
+               else _binom_pmf(j, j + m, p_cell1)) * epsilon
         if pf1 == 0.0:
             continue
-        for pf0, (_, _, _, (p_lo, p_up)) in zip(_pmfs(events, rem, pc),
-                                                events):
-            pf0 *= pf1
-            lo += pf0 * p_lo
-            up += pf0 * p_up
+        for coef, j, m, p_lo, p_up in events:
+            pf = (coef * p ** j * b ** m if coef
+                  else _binom_pmf(j, j + m, p)) * pf1
+            lo += pf * p_lo
+            up += pf * p_up
 
     # summation rounding can carry a sure win past 1
     return min(lo, 1.0), min(up, 1.0)
@@ -398,7 +400,9 @@ def _xi_bounds(p_lo: float, p_up: float, dc: int, q: int) -> tuple[float, float]
     at g = 0, otherwise extremes are at the endpoints.
     """
     o_lo = cn_step(p_lo, dc, q)
-    o_up = o_lo if p_up == p_lo else cn_step(p_up, dc, q)
+    if p_up == p_lo:
+        return 1.0 - o_lo, 1.0 - o_lo
+    o_up = cn_step(p_up, dc, q)
     o_min = min(o_lo, o_up)
     o_max = max(o_lo, o_up)
     if (dc - 1) % 2 == 0 and q * p_lo < 1.0 < q * p_up:

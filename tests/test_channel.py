@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import smpdec.channel
 from smpdec.galois import build_field
-from smpdec.channel import (ChannelParams, capacity, shannon_limit,
-                            transmit, weight_D, weight_ratio)
+from smpdec.channel import (PROB_FLOOR, WEIGHT_TIE_TOL, ChannelParams,
+                            capacity, shannon_limit, transmit, weight_class,
+                            weight_D, weight_ratio)
 
 
 F4 = build_field(2)
@@ -180,3 +182,67 @@ def test_weight_ratio_clamps_endpoints():
     # eps at the symmetric-channel ceiling still yields a positive weight
     w = weight_ratio(4, 0.75, 0.2)
     assert w > 0
+
+
+def _class_from_scratch(q: int, eps: float, xi: float, dv: int) -> int:
+    """The class of w = D(eps)/D(xi), both D formed anew at the clamped
+    ends and a ratio within WEIGHT_TIE_TOL of an integer >= 1 snapped:
+    the vote counts 1..dv below w plus those at or below it."""
+    lo, hi = PROB_FLOOR, (q - 1) / q - PROB_FLOOR
+    w = (weight_D(q, min(max(eps, lo), hi))
+         / weight_D(q, min(max(xi, lo), hi)))
+    r = round(w)
+    if r >= 1 and abs(w - r) <= WEIGHT_TIE_TOL:
+        w = float(r)
+    return sum((k < w) + (k <= w) for k in range(1, dv + 1))
+
+
+def _xi_for_weight(q: int, eps: float, w: float) -> float:
+    """xi in the clamped range with D(eps) / D(xi) = w, by bisection."""
+    target = weight_D(q, max(eps, PROB_FLOOR)) / w
+    lo, hi = PROB_FLOOR, (q - 1) / q - PROB_FLOOR
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if weight_D(q, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@st.composite
+def _weight_points(draw):
+    """(q, eps, xi, dv): eps = 0 and xi in {0, 1} among them, and xi
+    placed so that the weight lies within about 1e-9 of an integer."""
+    q = draw(st.integers(2, 512))
+    dv = draw(st.integers(2, 20))
+    eps = draw(st.one_of(st.just(0.0),
+                         st.floats(0.0, (q - 1) / q, exclude_max=True)))
+    kind = draw(st.sampled_from(("zero", "one", "any", "near-integral")))
+    if kind == "near-integral":
+        w = draw(st.integers(1, dv + 1)) * (
+            1.0 + draw(st.sampled_from((-2e-9, -1e-9, -5e-10, 0.0, 5e-10,
+                                        1e-9, 2e-9))))
+        xi = _xi_for_weight(q, eps, w)
+    elif kind == "any":
+        xi = draw(st.floats(0.0, 1.0))
+    else:
+        xi = 0.0 if kind == "zero" else 1.0
+    return q, eps, xi, dv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_points(), st.floats(0.0, 1.0))
+def test_weight_class_with_cached_channel_weight_matches_scratch(point,
+                                                                 other_xi):
+    q, eps, xi, dv = point
+    want = _class_from_scratch(q, eps, xi, dv)
+    # D(eps) cached by a weight at another xi, and one at another q
+    smpdec.channel._channel_D.cache_clear()
+    weight_ratio(q, eps, other_xi)
+    weight_ratio(q + 1, eps, xi)
+    assert weight_class(weight_ratio(q, eps, xi), dv) == want
+    assert smpdec.channel._channel_D.cache_info().hits == 1
+    # and formed anew
+    smpdec.channel._channel_D.cache_clear()
+    assert weight_class(weight_ratio(q, eps, xi), dv) == want
