@@ -247,7 +247,8 @@ def _walk_plan(dv: int, q: int, exact_r: int, w_class: int) -> tuple:
     term (coef, j, n - j, pay_lower, pay_upper) per number f0 of the
     dv - 1 votes on the sent symbol after a correct observation; the
     others fall uniformly on the k = q - 1 wrong cells. coef is C(n, j)
-    as a float up to _LOG_SPACE_N trials and None beyond. After a wrong
+    as a float (so at least 1) up to _LOG_SPACE_N trials and None
+    beyond, where the walk takes ``_binom_pmf``. After a wrong
     observation one wrong cell carries the weight and, by symmetry,
     stands for all of them. wrong has a term (coef, j, n - j, events)
     per number f1 of votes on it that leaves the sent symbol a chance:
@@ -320,29 +321,29 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
                               weight_class(weight_ratio(q, epsilon, xi), dv))
     lo = up = 0.0
     # after a correct observation
-    pf1 = 1.0 - epsilon
+    po = 1.0 - epsilon
     p = 1.0 - xi
     b = 1.0 - p
     for coef, j, m, p_lo, p_up in right:
         pf = (coef * p ** j * b ** m if coef
-              else _binom_pmf(j, j + m, p)) * pf1
+              else _binom_pmf(j, j + m, p)) * po
         lo += pf * p_lo
         up += pf * p_up
 
-    # after a wrong one, per f1
+    # after a wrong one, with f1 votes on the observed symbol
     p_cell1 = xi / (q - 1)
     b1 = 1.0 - p_cell1
     # p_cell1 = 1 (q = 2, xi = 1) leaves every f1 with events no mass
     p = (1.0 - xi) / b1 if p_cell1 < 1.0 else 1.0
     b = 1.0 - p
     for coef, j, m, events in wrong:
-        pf1 = (coef * p_cell1 ** j * b1 ** m if coef
-               else _binom_pmf(j, j + m, p_cell1)) * epsilon
-        if pf1 == 0.0:
+        po = (coef * p_cell1 ** j * b1 ** m if coef
+              else _binom_pmf(j, j + m, p_cell1)) * epsilon
+        if po == 0.0:
             continue
         for coef, j, m, p_lo, p_up in events:
             pf = (coef * p ** j * b ** m if coef
-                  else _binom_pmf(j, j + m, p)) * pf1
+                  else _binom_pmf(j, j + m, p)) * po
             lo += pf * p_lo
             up += pf * p_up
 
