@@ -11,9 +11,10 @@ density-evolution schedule. All message updates are vectorized over edges.
 
 Which symbol a variable node emits depends only on which of its dv + 1
 candidates (the dv incoming messages, then the channel symbol) are
-equal to each other, on where w falls among the vote counts 1..dv and
-on the tie draw; not on q or on the symbol values. So the variable-node
-kernel keys every node by the equality pattern of its candidates and
+equal to each other, on where w falls among the vote counts 1..dv (its
+class, ``channel.weight_class``) and on the tie draw; not on q or on
+the symbol values. So the variable-node kernel takes the class, not w,
+and keys every node by the equality pattern of its candidates and
 reads the tie set of each outgoing slot, and of the final decision,
 from a table that scores one representative candidate row per pattern.
 The candidates of all nodes form one slot-major (dv + 1, n) block. A
@@ -105,20 +106,19 @@ def cn_update(code: CodeGraph, vn_to_cn: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _settled_iteration(schedule: XiSchedule, q: int, epsilon: float,
-                       dv: int, l_max: int) -> int:
-    """First iteration from which the weight class stays that of l_max.
-
-    Reads past the schedule's end repeat its final value. Every frame of
-    a run asks the same; the cache is bounded so that a long-lived
-    process does not keep every schedule it has decoded with.
-    """
-    classes = [weight_class(weight_ratio(q, epsilon, xi), dv)
-               for xi in schedule.xi_values[:l_max]]
-    settled = len(classes)
+def _run_classes(schedule: XiSchedule, q: int, epsilon: float, dv: int,
+                 l_max: int) -> tuple[tuple[int, ...], int]:
+    """Weight class of each iteration 1..l_max, and the first iteration
+    from which it stays that of l_max. Every frame of a run asks the
+    same; the cache is bounded so that a long-lived process does not
+    keep every schedule it has decoded with."""
+    classes = tuple(
+        weight_class(weight_ratio(q, epsilon, schedule.value_at(it)), dv)
+        for it in range(1, l_max + 1))
+    settled = l_max
     while settled > 1 and classes[settled - 2] == classes[-1]:
         settled -= 1
-    return settled
+    return classes, settled
 
 
 @cache
@@ -141,6 +141,8 @@ def _pattern_table(dv: int, weight_class: int) -> np.ndarray:
     if dv > MAX_DV:
         raise ValueError(f"the decoder takes variable node degrees up to "
                          f"{MAX_DV}, got {dv}")
+    if weight_class not in range(2 * dv + 1):
+        raise ValueError(f"weight class {weight_class} outside 0..{2 * dv}")
     rows = [[0]]
     for _ in range(dv):
         rows = [r + [b] for r in rows for b in range(max(r) + 2)]
@@ -213,12 +215,13 @@ def _gather_offsets(dv: int, weight_class: int, n: int,
 
 
 def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
-          epsilon: float, xi: float, u: np.ndarray,
+          w_class: int, u: np.ndarray,
           rows: range) -> tuple[np.ndarray, int]:
     """Winning symbol per VN and table row, and how many of them tied.
 
-    ``rows`` selects the extrinsic views (``range(dv)``) or the
-    decision (``range(dv, dv + 1)``) of every node's pattern-table row;
+    ``w_class`` picks the pattern table: the channel weight enters only
+    as its class. ``rows`` selects the extrinsic views (``range(dv)``)
+    or the decision (``range(dv, dv + 1)``) of every node's table row;
     ``u`` has one uniform draw per selected row. Of a tie set of size s,
     entry min(floor(u * s), s - 1) in slot order is returned; without a
     tie that is the first tied slot, so only ties read their draws.
@@ -237,8 +240,7 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
     cand = np.empty((dv + 1, n), dtype=np.int32)
     cand[:dv] = np.asarray(cn_to_vn).reshape(n, dv).T
     cand[dv] = y
-    w = weight_ratio(code.field.q, epsilon, xi)
-    lead, flag, sel = _gather_offsets(dv, weight_class(w, dv), n, rows)
+    lead, flag, sel = _gather_offsets(dv, w_class, n, rows)
     key = _pattern_key(cand)
     index = lead.take(key, axis=0)
     index += np.arange(n)[:, None]
@@ -271,32 +273,33 @@ def _vote(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
 
 
 def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
-              epsilon: float, xi: float,
+              w_class: int,
               rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Extrinsic symbol decisions at every variable node.
 
     Per outgoing edge the score of symbol b is its vote count among the
     other dv - 1 incoming messages plus w = D(epsilon)/D(xi) if b equals
     the channel symbol; the argmax is emitted, ties broken uniformly.
-    Exactly one uniform block of shape (n, dv) is drawn from rng per
-    call, one value per outgoing edge, whether or not ties occur.
+    That depends on w only through its class ``w_class``. Exactly one
+    uniform block of shape (n, dv) is drawn from rng per call, one value
+    per outgoing edge, whether or not ties occur.
 
     Returns the flat edge-ordered message array and the number of
     edges whose argmax was a tie.
     """
     u = rng.random((code.n, code.dv))
-    out, ties = _vote(code, cn_to_vn, y, epsilon, xi, u, range(code.dv))
+    out, ties = _vote(code, cn_to_vn, y, w_class, u, range(code.dv))
     return out.reshape(-1), ties
 
 
 def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
-              epsilon: float, xi: float,
-              u: np.ndarray) -> tuple[np.ndarray, int]:
-    """Non-extrinsic symbol decision: all dv votes plus the channel.
+              w_class: int, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-extrinsic symbol decision: all dv votes plus the channel,
+    whose weight enters only as its class ``w_class``.
 
     ``u`` holds one uniform tie draw per variable node.
     """
-    out, ties = _vote(code, cn_to_vn, y, epsilon, xi, u[:, None],
+    out, ties = _vote(code, cn_to_vn, y, w_class, u[:, None],
                       range(code.dv, code.dv + 1))
     return out[:, 0], ties
 
@@ -318,9 +321,9 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     """Run l_max decoder iterations and take the final decision.
 
     Iteration 1 sends the channel word along every edge; afterwards
-    check and variable updates alternate, the variable step of iteration
-    l using schedule.value_at(l). The final decision aggregates all dv
-    incoming votes plus the channel weight (non-extrinsic). Each
+    check and variable updates alternate, iteration l's variable step
+    using the class of schedule.value_at(l). The final decision takes
+    all dv incoming votes plus the channel weight (non-extrinsic). Each
     iteration's tie count is reported: tied edges for the message steps,
     tied variable nodes for the final decision. A fixed rng seed makes
     the whole run deterministic.
@@ -362,16 +365,15 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(rng)
     mu_vc = np.repeat(y, code.dv)
-    settled = _settled_iteration(schedule, code.field.q, epsilon, code.dv,
-                                 l_max)
+    classes, settled = _run_classes(schedule, code.field.q, epsilon,
+                                    code.dv, l_max)
     # anchor: the messages of iteration at, with no tie and no class
     # change after it; it moves on after span iterations, span doubling
     anchor, at, span, period = mu_vc, 0, 1, 0
     tie_events = []
     for it in range(1, l_max):
         mu_cv = cn_update(code, mu_vc)
-        xi = schedule.value_at(it)
-        sent, ties = vn_update(code, mu_cv, y, epsilon, xi, gen)
+        sent, ties = vn_update(code, mu_cv, y, classes[it - 1], gen)
         tie_events.append(ties)
         if ties or it < settled:
             anchor, at, span = sent, it, 1
@@ -385,7 +387,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
         if period and (l_max - it) % period == 0:
             # mu_cv are the check messages of iteration l_max; without a
             # tie the draws cannot matter, so none are made
-            decided, ties = _decision(code, mu_cv, y, epsilon, xi,
+            decided, ties = _decision(code, mu_cv, y, classes[-1],
                                       np.zeros(code.n))
             if ties == 0:
                 tie_events += [0] * (l_max - it)
@@ -395,8 +397,7 @@ def decode(code: CodeGraph, y: np.ndarray, epsilon: float,
             period = l_max  # the decision at l_max ties: no iteration exits
         mu_vc = sent
     mu_cv = cn_update(code, mu_vc)
-    decided, ties = _decision(code, mu_cv, y, epsilon,
-                              schedule.value_at(l_max), gen.random(code.n))
+    decided, ties = _decision(code, mu_cv, y, classes[-1], gen.random(code.n))
     tie_events.append(ties)
     return DecodeResult(decided=decided, tie_events=tuple(tie_events),
                         iterations=l_max)

@@ -62,7 +62,8 @@ def test_vn_update_returns_messages_and_ties(layers):
     code = sample_code(12, 3, 6, build_field(2), seed=1)
     mu = np.zeros(code.n * code.dv, dtype=np.int32)
     y = np.zeros(code.n, dtype=np.int32)
-    result = smp.vn_update(code, mu, y, 0.1, 0.2, np.random.default_rng(0))
+    # weight class 2: 1 < w < 2
+    result = smp.vn_update(code, mu, y, 2, np.random.default_rng(0))
     assert isinstance(result, tuple) and len(result) == 2
     messages, ties = result
     assert messages.shape == (code.n * code.dv,)

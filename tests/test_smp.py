@@ -3,7 +3,8 @@
 The vectorized decoder is checked against scalar reference code built
 here from ScoreBoard and naive per-edge check sums over carry-less field
 arithmetic (``oracles``), sharing nothing with the implementation except
-the documented RNG draw order and the channel weight from weight_ratio.
+the documented RNG draw order, the channel weight from weight_ratio and
+its class from weight_class, which is what the variable-node steps take.
 """
 
 import itertools
@@ -17,17 +18,23 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import edge_vn, gf_inv, gf_mul
-from smpdec.channel import ChannelParams, transmit, weight_D, weight_ratio
+from smpdec.channel import (ChannelParams, transmit, weight_class, weight_D,
+                            weight_ratio)
 from smpdec.code import CodeGraph, sample_code
 from smpdec.de import cn_step, de_run, vn_step_exact
 from smpdec.galois import build_field
 from smpdec.smp import (MAX_DV, XiSchedule, _decision, _gather_offsets,
-                        _pattern_key, _pattern_table, cn_update, decode,
-                        vn_update)
+                        _pattern_key, _pattern_table, _run_classes, cn_update,
+                        decode, vn_update)
 
 F2 = build_field(1)
 F4 = build_field(2)
 F8 = build_field(3)
+
+
+def _class(q: int, eps: float, xi: float, dv: int) -> int:
+    """The class of w = D(eps)/D(xi) that the variable-node steps take."""
+    return weight_class(weight_ratio(q, eps, xi), dv)
 
 
 @dataclass
@@ -322,7 +329,7 @@ def test_vn_update_unanimous():
     code = sample_code(8, 3, 4, F4, seed=3)
     y = np.full(8, 2, dtype=np.int32)
     mu_cv = y[edge_vn(code)].astype(np.int32)
-    out, _ = vn_update(code, mu_cv, y, epsilon=0.1, xi=0.2,
+    out, _ = vn_update(code, mu_cv, y, _class(4, 0.1, 0.2, 3),
                        rng=np.random.default_rng(0))
     assert np.all(out == 2)
 
@@ -333,7 +340,7 @@ def test_vn_update_matches_scoreboard_reference():
         rng = np.random.default_rng(17)
         mu_cv = rng.integers(0, q, size=24 * dv).astype(np.int32)
         y = rng.integers(0, q, size=24).astype(np.int32)
-        out, _ = vn_update(code, mu_cv, y, epsilon=0.07, xi=0.22,
+        out, _ = vn_update(code, mu_cv, y, _class(q, 0.07, 0.22, dv),
                            rng=np.random.default_rng(99))
         u = np.random.default_rng(99).random((24, dv))
         rows = mu_cv.reshape(24, dv)
@@ -354,7 +361,7 @@ def test_vn_update_reduces_to_gallager_b():
     rows = np.array([[(i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(8)]
                     * 2, dtype=np.int32)
     y = np.array([0] * 8 + [1] * 8, dtype=np.int32)
-    out, _ = vn_update(code, rows.reshape(-1), y, eps, xi,
+    out, _ = vn_update(code, rows.reshape(-1), y, _class(2, eps, xi, 3),
                        rng=np.random.default_rng(4))
     out = out.reshape(16, 3)
     for v in range(16):
@@ -369,11 +376,12 @@ def test_vn_update_is_extrinsic():
     rng = np.random.default_rng(5)
     mu = rng.integers(0, 8, size=54).astype(np.int32)
     y = rng.integers(0, 8, size=18).astype(np.int32)
-    base, _ = vn_update(code, mu, y, 0.05, 0.15, np.random.default_rng(1))
+    c = _class(8, 0.05, 0.15, 3)
+    base, _ = vn_update(code, mu, y, c, np.random.default_rng(1))
     mu2 = mu.copy()
     edge = 13  # VN 4, slot 1
     mu2[edge] = (mu2[edge] + 3) % 8
-    pert, _ = vn_update(code, mu2, y, 0.05, 0.15, np.random.default_rng(1))
+    pert, _ = vn_update(code, mu2, y, c, np.random.default_rng(1))
     assert pert[edge] == base[edge]
     changed = np.nonzero(pert != base)[0]
     assert all(edge_vn(code)[e] == 4 for e in changed)
@@ -386,7 +394,8 @@ def test_vn_update_tie_statistics_uniform():
     mu = np.tile(np.array([1, 2], dtype=np.int32), 3000)
     y = np.full(3000, 3, dtype=np.int32)
     eps = xi = 0.25  # weight exactly 1
-    out, _ = vn_update(code, mu, y, eps, xi, np.random.default_rng(23))
+    out, _ = vn_update(code, mu, y, _class(4, eps, xi, 2),
+                       np.random.default_rng(23))
     counts = np.bincount(out, minlength=4)
     assert counts[0] == 0
     sigma_single = np.sqrt(3000 * 0.25)
@@ -458,9 +467,10 @@ def test_vn_update_and_decision_match_scoreboard(case):
                                     int(y[v]), eps, xi, q) for v in range(n)]
     edge_ties = [len(b.tie_set(j)) > 1 for b in boards for j in range(dv)]
     node_ties = [len(b.tie_set()) > 1 for b in boards]
-    _, ties = vn_update(code, mu, y, eps, xi, _FixedUniform(0.0))
+    c = _class(q, eps, xi, dv)
+    _, ties = vn_update(code, mu, y, c, _FixedUniform(0.0))
     assert ties == sum(edge_ties)
-    _, ties = _decision(code, mu, y, eps, xi, np.zeros(n))
+    _, ties = _decision(code, mu, y, c, np.zeros(n))
     assert ties == sum(node_ties)
     # u in slice i of s equal slices picks entry i of a size-s tie set.
     # Sweeping every size s <= dv + 1 lists each oracle tie set in order
@@ -469,17 +479,17 @@ def test_vn_update_and_decision_match_scoreboard(case):
     for size in range(1, dv + 2):
         for i in range(size):
             u = (i + 0.5) / size
-            out, _ = vn_update(code, mu, y, eps, xi, _FixedUniform(u))
+            out, _ = vn_update(code, mu, y, c, _FixedUniform(u))
             assert out.tolist() == [b.argmax(u, drop_slot=j)
                                     for b in boards for j in range(dv)]
-            dec, _ = _decision(code, mu, y, eps, xi, np.full(n, u))
+            dec, _ = _decision(code, mu, y, c, np.full(n, u))
             assert dec.tolist() == [b.argmax(u) for b in boards]
     # each tie reads its own edge's (or node's) draw
     u = np.random.default_rng(n * dv).random((n, dv))
-    out, _ = vn_update(code, mu, y, eps, xi, _FixedBlock(u))
+    out, _ = vn_update(code, mu, y, c, _FixedBlock(u))
     assert out.tolist() == [b.argmax(u[v, j], drop_slot=j)
                             for v, b in enumerate(boards) for j in range(dv)]
-    dec, _ = _decision(code, mu, y, eps, xi, u[:, 0])
+    dec, _ = _decision(code, mu, y, c, u[:, 0])
     assert dec.tolist() == [b.argmax(u[v, 0]) for v, b in enumerate(boards)]
 
 
@@ -508,13 +518,14 @@ def test_vote_picks_ties_of_scattered_nodes_from_their_own_draws(dv, dc, n,
     assert (edge_tied[:, 1:] & ~edge_tied[:, :1]).any()
     assert (node_tied & ~edge_tied.any(axis=1)).any()
     u = rng.random((n, dv))
-    out, ties = vn_update(code, mu.reshape(-1), y, eps, xi, _FixedBlock(u))
+    c = _class(8, eps, xi, dv)
+    out, ties = vn_update(code, mu.reshape(-1), y, c, _FixedBlock(u))
     assert ties == edge_tied.sum()
     assert out.reshape(n, dv).tolist() == [
         [b.argmax(u[v, j], drop_slot=j) for j in range(dv)]
         for v, b in enumerate(boards)]
     u = rng.random(n)
-    dec, ties = _decision(code, mu.reshape(-1), y, eps, xi, u)
+    dec, ties = _decision(code, mu.reshape(-1), y, c, u)
     assert ties == node_tied.sum()
     assert dec.tolist() == [b.argmax(u[v]) for v, b in enumerate(boards)]
 
@@ -569,13 +580,14 @@ def test_near_integral_weight_ties_as_in_density_evolution():
     code = sample_code(n, 3, 6, F4, seed=5)
     # votes (2, 3, 3) with y = 1: both extrinsic (2, 3) views tie 1, 2, 3
     mu = np.tile(np.array([2, 3, 3], dtype=np.int32), n)
-    out, ties = vn_update(code, mu, np.full(n, 1, dtype=np.int32), eps, xi,
+    c = _class(q, eps, xi, 3)
+    out, ties = vn_update(code, mu, np.full(n, 1, dtype=np.int32), c,
                           _FixedUniform(0.99))
     assert ties == 2 * n
     assert out.reshape(n, 3)[:, 1:].tolist() == [[1, 1]] * n
     # votes (2, 2, 3) with y = 3: 2 and 3 both score 2 at the decision
     mu = np.tile(np.array([2, 2, 3], dtype=np.int32), n)
-    _, ties = _decision(code, mu, np.full(n, 3, dtype=np.int32), eps, xi,
+    _, ties = _decision(code, mu, np.full(n, 3, dtype=np.int32), c,
                         np.zeros(n))
     assert ties == n
     assert vn_step_exact(xi, eps, 3, q) == pytest.approx(
@@ -590,16 +602,17 @@ def test_vanishing_weight_lets_channel_symbol_win():
     code = sample_code(n, 3, 6, F4, seed=5)
     for xi in (0.0, 0.01):
         assert 0 < weight_ratio(q, eps, xi) < 1e-12
+        c = _class(q, eps, xi, 3)
         # votes (1, 2, 2) with y = 1: the (1, 2) views go to 1
         mu = np.tile(np.array([1, 2, 2], dtype=np.int32), n)
-        out, ties = vn_update(code, mu, np.full(n, 1, dtype=np.int32), eps,
-                              xi, _FixedUniform(0.99))
+        out, ties = vn_update(code, mu, np.full(n, 1, dtype=np.int32), c,
+                              _FixedUniform(0.99))
         assert ties == 0
         assert out.reshape(n, 3).tolist() == [[2, 1, 1]] * n
         # votes (1, 2, 3) with y = 1: 1 wins the decision outright
         mu = np.tile(np.array([1, 2, 3], dtype=np.int32), n)
-        dec, ties = _decision(code, mu, np.full(n, 1, dtype=np.int32), eps,
-                              xi, np.full(n, 0.99))
+        dec, ties = _decision(code, mu, np.full(n, 1, dtype=np.int32), c,
+                              np.full(n, 0.99))
         assert ties == 0
         assert dec.tolist() == [1] * n
     assert vn_step_exact(0.01, eps, 3, q) == pytest.approx(
@@ -710,13 +723,15 @@ def _stepwise_decode(code, y, eps, schedule, l_max, seed):
     gen = np.random.default_rng(seed)
     msgs = [y[edge_vn(code)]]
     ties = []
+    q, dv = code.field.q, code.dv
     for it in range(1, l_max):
-        sent, t = vn_update(code, cn_update(code, msgs[-1]), y, eps,
-                            schedule.value_at(it), gen)
+        c = _class(q, eps, schedule.value_at(it), dv)
+        sent, t = vn_update(code, cn_update(code, msgs[-1]), y, c, gen)
         ties.append(t)
         msgs.append(sent)
-    decided, t = _decision(code, cn_update(code, msgs[-1]), y, eps,
-                           schedule.value_at(l_max), gen.random(code.n))
+    c = _class(q, eps, schedule.value_at(l_max), dv)
+    decided, t = _decision(code, cn_update(code, msgs[-1]), y, c,
+                           gen.random(code.n))
     ties.append(t)
     return decided, tuple(ties), msgs
 
@@ -977,6 +992,35 @@ def test_decoder_refuses_degrees_beyond_its_tables():
         decode(code, y, 0.1, XiSchedule([0.1]), 3, rng=0)
 
 
+@pytest.mark.parametrize("w_class", [-1, 7, 2.5])
+def test_vn_update_refuses_a_class_outside_its_tables(w_class):
+    code = sample_code(12, 3, 6, F4, seed=5)
+    mu, y = np.zeros(36, dtype=np.int32), np.zeros(12, dtype=np.int32)
+    with pytest.raises(ValueError, match=f"class {w_class} outside 0..6"):
+        vn_update(code, mu, y, w_class, np.random.default_rng(0))
+
+
+def test_decode_forms_its_weight_classes_once_per_run(monkeypatch):
+    # every frame of a run reads the classes of one cached _run_classes
+    # call, so a second frame forms no weight at all
+    code = sample_code(60, 3, 6, F4, seed=41)
+    sched = _schedule_for(3, 6, 4, 0.05)
+    y = transmit(np.zeros(60, dtype=np.int32), ChannelParams(F4, 0.05),
+                 np.random.default_rng(0))
+    first = decode(code, y, 0.05, sched, 30, rng=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return weight_ratio(*args)
+
+    monkeypatch.setattr("smpdec.smp.weight_ratio", counted)
+    second = decode(code, y, 0.05, sched, 30, rng=1)
+    assert first.iterations == 10 and calls == []
+    assert np.array_equal(first.decided, second.decided)
+    assert first.tie_events == second.tie_events
+
+
 def test_decode_validates_input_length():
     code = sample_code(12, 3, 4, F4, seed=71)
     sched = XiSchedule([0.2])
@@ -1037,19 +1081,25 @@ def test_de_step_at_weight_is_density_evolution_at_its_own_weight(q):
             vn_step_exact(xi, eps, 3, q), abs=1e-12)
 
 
-# Each band is about twice the worst deviation over a wider sample: 24
-# pools of 8 GF(4) frames read up to 2.1%, and 30 pools of 32 GF(256)
-# frames up to 2.5% (code seeds 1-3). A decoder that takes its weight
-# from eps alone, or whose tie picks never draw their last tied slot,
-# moves some iteration's ratio by 8% or more.
-@pytest.mark.parametrize("m, n, eps, frames, iterations, band", [
+# Each band is about twice the worst deviation over a wider sample (code
+# seeds 1-3): 24 pools of 8 GF(4) frames read up to 2.1%, 30 pools of 32
+# GF(256) frames up to 2.5%, 30 pools of 8 (7,14) GF(64) frames up to
+# 5.8% and 30 pools of 16 GF(1024) frames up to 3.9%. Classes formed
+# from eps alone move some iteration's ratio by 90% or more. Tie picks
+# that never draw their last tied slot move it by 8% or more at dv = 3,
+# but by 3.4% at dv = 7, inside that band.
+@pytest.mark.parametrize("m, dv, dc, n, eps, frames, iterations, band", [
     # (3,6) GF(4) below its threshold 0.089: w falls below 1, and ties
     # begin, at iteration 18
-    pytest.param(2, 60000, 0.08, 8, 20, 0.04, id="gf4-n60000"),
+    pytest.param(2, 3, 6, 60000, 0.08, 8, 20, 0.04, id="gf4-n60000"),
     # (3,6) GF(256) below its threshold 0.111: w < 1 from iteration 9
-    pytest.param(8, 7680, 0.10, 32, 12, 0.05, id="gf256-n7680"),
+    pytest.param(8, 3, 6, 7680, 0.10, 32, 12, 0.05, id="gf256-n7680"),
+    # dv = MAX_DV, the 40320-row pattern table: w < 1 from iteration 6
+    pytest.param(6, 7, 14, 7000, 0.11, 8, 10, 0.12, id="gf64-dv7-n7000"),
+    # above PRODUCT_TABLE_MAX_M, mul_vec takes its masked-log path
+    pytest.param(10, 3, 6, 7680, 0.10, 16, 12, 0.08, id="gf1024-n7680"),
 ])
-def test_decoder_tracks_one_density_evolution_step(m, n, eps, frames,
+def test_decoder_tracks_one_density_evolution_step(m, dv, dc, n, eps, frames,
                                                    iterations, band):
     # On a large graph the wrong-message fraction concentrates on density
     # evolution while neighbourhoods stay tree-like. So, summed over the
@@ -1057,12 +1107,13 @@ def test_decoder_tracks_one_density_evolution_step(m, n, eps, frames,
     # step predicts from the fraction the frame sent the iteration
     # before (the channel word before iteration 1) and the frame's own
     # flip rate. The step takes the decoder's weight from the schedule's
-    # xi, as vn_update does. Frames run as decode runs them, without the
-    # early exit.
+    # xi. Frames run as decode runs them, on the classes of
+    # _run_classes, without the early exit.
     field = build_field(m)
-    q, dv, dc = field.q, 3, 6
+    q = field.q
     code = sample_code(n, dv, dc, field, seed=1)
     sched = XiSchedule.from_trace(de_run(dv, dc, q, eps, l_max=iterations))
+    classes, _ = _run_classes(sched, q, eps, dv, iterations)
     wrong, expected, ties = np.zeros(iterations), np.zeros(iterations), 0
     for frame in range(frames):
         rng = np.random.default_rng([7, frame])
@@ -1074,8 +1125,8 @@ def test_decoder_tracks_one_density_evolution_step(m, n, eps, frames,
             xi = 1 - cn_step(1 - frac, dc, q)
             w = weight_ratio(q, eps, sched.value_at(it))
             expected[it - 1] += 1 - _de_step_at_weight(xi, flips, w, dv, q)
-            sent, t = vn_update(code, cn_update(code, sent), y, eps,
-                                sched.value_at(it), rng)
+            sent, t = vn_update(code, cn_update(code, sent), y,
+                                classes[it - 1], rng)
             frac = np.count_nonzero(sent) / sent.size
             wrong[it - 1] += frac
             ties += t
