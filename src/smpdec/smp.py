@@ -294,11 +294,9 @@ def vn_update(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
 
 def _decision(code: CodeGraph, cn_to_vn: np.ndarray, y: np.ndarray,
               w_class: int, u: np.ndarray) -> tuple[np.ndarray, int]:
-    """Non-extrinsic symbol decision: all dv votes plus the channel,
-    whose weight enters only as its class ``w_class``.
-
-    ``u`` holds one uniform tie draw per variable node.
-    """
+    """Non-extrinsic symbol decision: all dv votes plus the channel, whose
+    weight enters only as its class ``w_class``. ``u`` holds one uniform
+    tie draw per variable node."""
     out, ties = _vote(code, cn_to_vn, y, w_class, u[:, None],
                       range(code.dv, code.dv + 1))
     return out[:, 0], ties
