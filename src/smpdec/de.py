@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .channel import check_epsilon, weight_class, weight_ratio
 from .code import check_degrees
@@ -57,34 +58,18 @@ BOUNDED_EXACT_TIES = 3
 
 
 # ----------------------------------------------------------------------
-# Interval container and trace records
+# Interval pairs and trace records: each producer orders its pair's ends,
+# save de_run's bounded p0, whose ends come from two steps and get checked
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundedProb:
-    """A probability known to lie in [lower, upper]."""
+class BoundedProb(NamedTuple):
+    """A probability known to lie in [lower, upper], unchecked here."""
 
     lower: float
     upper: float
 
-    def __post_init__(self) -> None:
-        if 0.0 <= self.lower <= self.upper <= 1.0:
-            return
-        # NaN fails every comparison, the fast path's among them
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError(f"NaN end in [{self.lower}, {self.upper}]")
-        lo = min(max(self.lower, 0.0), 1.0)
-        up = min(max(self.upper, 0.0), 1.0)
-        if lo > up:
-            if lo - up > 1e-9:
-                raise ValueError(f"lower {lo} exceeds upper {up}")
-            up = lo
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
 
-
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One density-evolution iteration: p0 and the check vote error rate."""
 
     p0: BoundedProb
@@ -100,12 +85,13 @@ class DeTrace:
     with the xi the next variable-node step would see; records[0] is the
     channel initialization. ``converged`` and ``converged_upper`` read
     the last record: whether its lower, respectively upper, p0 reached
-    1 - DELTA_CONV (they coincide in exact mode). A record's lower end
-    never exceeds its upper one, so ``converged`` implies
-    ``converged_upper``, which the threshold search relies on to share
-    its probes between the two. Above threshold ``iterations_run``
-    (len(records) - 1) can move by one with the last-bit rounding of a
-    step, as the run stops once ``p_new <= p`` holds exactly.
+    1 - DELTA_CONV (they coincide in exact mode). A record's lower p0
+    never exceeds its upper one (``de_run`` checks the one pair that
+    could cross), so ``converged`` implies ``converged_upper``, which
+    the threshold search relies on to share its probes between the two.
+    Above threshold ``iterations_run`` (len(records) - 1) can move by
+    one with the last-bit rounding of a step, as the run stops once
+    ``p_new <= p`` holds exactly.
     """
 
     mode: str
@@ -381,7 +367,9 @@ def vn_step_bounded(xi: float, epsilon: float, dv: int, q: int) -> BoundedProb:
     A tie is paid exactly while at most BOUNDED_EXACT_TIES further cells
     share the maximum; beyond that the argmax size is bounded by the
     ball counts. For dv <= 6 both ends equal the exact step except at
-    integral weights. Requires q > 2; at q = 2 the exact update is
+    integral weights. The ends are ordered and in [0, 1]: the walk sums
+    nonnegative terms, caps the sum at 1, and no event's lower pay
+    exceeds its upper one. Requires q > 2; at q = 2 the exact update is
     already cheap.
     """
     if q <= 2:
@@ -435,6 +423,9 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
     does. The run stops once the lower trajectory reaches
     1 - DELTA_CONV (converged), stops making progress, or hits l_max.
     The degrees must satisfy 2 <= dv < dc, as for a sampled code.
+    Bounded steps at two xi ends can cross by rounding: the record then
+    shows p0 as [lower, lower] (xi, the stall test and the next step keep
+    the raw ends), and a gap over 1e-9 or a NaN end raises ValueError.
     """
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
@@ -444,26 +435,31 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
         raise ValueError(f"l_max must be positive, got {l_max}")
     mode = resolve_mode(q, mode)
 
-    def make_record(p_lo: float, p_up: float) -> IterationRecord:
-        xi_lo, xi_up = _xi_bounds(p_lo, p_up, dc, q)
-        return IterationRecord(BoundedProb(p_lo, p_up), BoundedProb(xi_lo, xi_up))
-
     p_lo = p_up = 1.0 - epsilon
-    records = [make_record(p_lo, p_up)]
+    records = [IterationRecord(BoundedProb(p_lo, p_up),
+                               BoundedProb(*_xi_bounds(p_lo, p_up, dc, q)))]
     while len(records) <= l_max and 1.0 - p_lo >= DELTA_CONV:
-        rec = records[-1]
+        xi = records[-1].xi
         if mode == "exact":
-            p_lo_new = p_up_new = vn_step_exact(rec.xi.lower, epsilon, dv, q)
+            p_lo_new = p_up_new = p0_up = vn_step_exact(xi.lower, epsilon, dv, q)
         else:
             # each trajectory evolves on its own xi end, so each is a
             # genuine one-sided recursion rather than interval arithmetic;
             # while the xi interval is a point, one step serves both
-            step = vn_step_bounded(rec.xi.upper, epsilon, dv, q)
+            step = vn_step_bounded(xi.upper, epsilon, dv, q)
             p_lo_new = step.lower
-            if rec.xi.lower != rec.xi.upper:
-                step = vn_step_bounded(rec.xi.lower, epsilon, dv, q)
-            p_up_new = step.upper
-        records.append(make_record(p_lo_new, p_up_new))
+            if xi.lower != xi.upper:
+                step = vn_step_bounded(xi.lower, epsilon, dv, q)
+            p_up_new = p0_up = step.upper
+            # a NaN end fails both comparisons
+            if not p_lo_new <= p_up_new:
+                if not p_lo_new - p_up_new <= 1e-9:
+                    raise ValueError(
+                        f"lower {p_lo_new} exceeds upper {p_up_new}")
+                p0_up = p_lo_new
+        records.append(IterationRecord(
+            BoundedProb(p_lo_new, p0_up),
+            BoundedProb(*_xi_bounds(p_lo_new, p_up_new, dc, q))))
         if p_lo_new <= p_lo and p_up_new <= p_up:
             # monotone one-step maps: a non-increasing trajectory can
             # never converge, and a converging step raises p_lo

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import smpdec.de
 from smpdec.channel import weight_class, weight_D, weight_ratio
 from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
                        _xi_bounds, cn_step, de_run, multinomial_max_cdf,
@@ -399,7 +400,7 @@ def test_vn_bounded_sandwiches_exact(dv, q):
             bound = vn_step_bounded(xi, eps, dv, q)
             assert bound.lower <= exact + 1e-12, (dv, q, xi, eps)
             assert exact <= bound.upper + 1e-12, (dv, q, xi, eps)
-            assert bound.lower <= bound.upper
+            assert 0.0 <= bound.lower <= bound.upper <= 1.0, (dv, q, xi, eps)
             wide += bound.lower != bound.upper
     # at dv = 7 and q = 8, five further cells can tie at generic
     # weights, so the bounds themselves are under test there
@@ -662,7 +663,6 @@ def test_de_run_validates_inputs():
                                              "at least 2, got 1"):
             step(0.1, 0.05, 1, 4)
     for func, args, message in (
-            (BoundedProb, (0.5, 0.4), "lower 0.5 exceeds upper 0.4"),
             (cn_step, (0.9, 1, 4), "dc must be at least 2, got 1"),
             (cn_step, (1.5, 6, 4), "p0 must be a probability, got 1.5"),
             (cn_step, (-0.1, 6, 4), "p0 must be a probability, got -0.1"),
@@ -685,31 +685,34 @@ def test_de_run_validates_inputs():
             func(*args)
 
 
-def test_bounded_prob_snaps_rejects_and_clamps():
-    # a lower end above the upper one by rounding alone (<= 1e-9) snaps
-    # the upper end to it; a larger gap is an error
-    snapped = BoundedProb(0.5 + 5e-10, 0.5)
-    assert snapped.lower == snapped.upper == 0.5 + 5e-10
-    with pytest.raises(ValueError, match="exceeds upper"):
-        BoundedProb(0.5 + 2e-9, 0.5)
-    clamped = BoundedProb(-0.25, 1.5)
-    assert (clamped.lower, clamped.upper) == (0.0, 1.0)
-    # in-range ends, 0.0 and 1.0 among them, come back bit for bit
-    for lo, up in ((0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (1.0, 1.0),
-                   (0.25, 0.75), (5e-324, 1.0 - 2 ** -53), (0.3, 0.3)):
-        ends = BoundedProb(lo, up)
-        assert (ends.lower.hex(), ends.upper.hex()) == (lo.hex(), up.hex())
-    # ends out of range are clamped
-    for lo, up, want in (
-            (-1.0, -0.5, ("0x0.0p+0", "0x0.0p+0")),
-            (1.25, 1.5, ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
-            (0.25, 1.5, ("0x1.0000000000000p-2", "0x1.0000000000000p+0")),
-            (1.0 + 1e-10, 1.0,
-             ("0x1.0000000000000p+0", "0x1.0000000000000p+0"))):
-        ends = BoundedProb(lo, up)
-        assert (ends.lower.hex(), ends.upper.hex()) == want, (lo, up)
-    # a NaN end is rejected, whichever end it is
+def test_de_run_snaps_bounds_crossed_by_rounding():
+    # record 3 of this run has a wide xi interval; the step at its upper
+    # end lifts the lower p0 to 1, while the step at its lower end leaves
+    # the upper p0 one ulp short, so record 4 shows the point 1
+    trace = de_run(7, 14, 16, 0.05859375, mode="bounded")
+    xi = trace.records[3].xi
+    assert xi.lower != xi.upper
+    lo = vn_step_bounded(xi.upper, 0.05859375, 7, 16).lower
+    up = vn_step_bounded(xi.lower, 0.05859375, 7, 16).upper
+    assert (lo.hex(), up.hex()) == ("0x1.0000000000000p+0",
+                                    "0x1.fffffffffffffp-1")
+    assert trace.records[4].p0 == (1.0, 1.0)
+
+
+def test_de_run_checks_crossed_bound_steps(monkeypatch):
+    # a bounded step whose ends cross by rounding alone (<= 1e-9) shows
+    # as the point [lower, lower], while xi keeps the raw ends; a wider
+    # gap or a NaN end is an error
+    def crossed(lo, up):
+        monkeypatch.setattr(smpdec.de, "vn_step_bounded",
+                            lambda *args: BoundedProb(lo, up))
+        return de_run(3, 6, 4, 0.08, mode="bounded")
+
+    trace = crossed(0.5 + 5e-10, 0.5)
+    assert trace.records[1] == ((0.5 + 5e-10, 0.5 + 5e-10),
+                                _xi_bounds(0.5 + 5e-10, 0.5, 6, 4))
+    assert trace.records[1].xi.lower != trace.records[1].xi.upper
     nan = float("nan")
-    for lo, up in ((nan, 0.5), (0.5, nan), (nan, nan), (nan, 2.0)):
-        with pytest.raises(ValueError, match="NaN"):
-            BoundedProb(lo, up)
+    for lo, up in ((0.5 + 2e-9, 0.5), (nan, 0.5), (0.5, nan), (nan, nan)):
+        with pytest.raises(ValueError, match="exceeds upper"):
+            crossed(lo, up)
