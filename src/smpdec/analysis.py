@@ -13,8 +13,7 @@ them; it is zero if they never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .channel import _bisect
 from .de import de_run, resolve_mode
@@ -25,27 +24,18 @@ from .de import de_run, resolve_mode
 MIN_BISECT_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Outcome of a threshold search for one ensemble and field order.
 
-    ``mode`` is the resolved mode. The other inputs stay with the caller
-    and in the CLI's embedded config, except q, which the bracket needs.
+    ``mode`` is the resolved mode; the inputs stay with the caller and
+    in the CLI's embedded config. ``find_threshold``, its one producer,
+    keeps 0 <= lower <= upper < (q-1)/q.
     """
 
-    q: int
     eps_star_lower: float
     eps_star_upper: float
     evaluations: int
     mode: str
-
-    def __post_init__(self) -> None:
-        ceiling = (self.q - 1) / self.q
-        if not 0.0 <= self.eps_star_lower <= self.eps_star_upper < ceiling:
-            raise ValueError(
-                "threshold bracket must satisfy "
-                f"0 <= lower <= upper < {ceiling}: got "
-                f"[{self.eps_star_lower}, {self.eps_star_upper}]")
 
 
 def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
@@ -58,7 +48,9 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
     valid bracket.  Each trajectory gets its own bisection from 0, over
     one cache of density-evolution runs.  Lower p0 <= upper p0, so a run
     that converges also converges optimistically: both searches share
-    every probe up to the first whose verdicts differ (exact mode: all).
+    every probe up to the first whose verdicts differ (exact mode: all),
+    where the pessimistic one turns down. So each end is a midpoint in
+    (0, (q-1)/q), and lower <= upper.
     ``bisect_tol`` must lie in [MIN_BISECT_TOL, (q-1)/q): a coarser one
     would end the search before any density-evolution run.
     """
@@ -78,9 +70,7 @@ def find_threshold(dv: int, dc: int, q: int, mode: str | None = None,
 
     eps_lower = _bisect(lambda e: flags(e)[0], 0.0, ceiling, bisect_tol)
     eps_upper = _bisect(lambda e: flags(e)[1], 0.0, ceiling, bisect_tol)
-    return ThresholdResult(q=q, eps_star_lower=eps_lower,
-                           eps_star_upper=eps_upper,
-                           evaluations=len(cache), mode=mode)
+    return ThresholdResult(eps_lower, eps_upper, len(cache), mode)
 
 
 def table_report(dv: int, dc: int, q_values: Sequence[int],

@@ -36,12 +36,16 @@ class ChannelParams:
 
 
 def check_epsilon(q: int, epsilon: float) -> None:
-    """Reject flip probabilities outside [0, (q-1)/q).
+    """Reject q < 2 and flip probabilities outside [0, (q-1)/q).
 
-    Every entry point that runs the channel or its weights applies this
-    one rule: the decoder, density evolution and ChannelParams.
-    ``capacity`` alone also takes the zero-capacity endpoint (q-1)/q.
+    Every entry point that takes epsilon applies this one rule for q and
+    epsilon: ``ChannelParams``, ``smp.decode``, ``de.de_run`` and both
+    variable-node steps. ``capacity`` alone also takes the zero-capacity
+    endpoint (q-1)/q; ``de.cn_step``, which takes no epsilon, checks q
+    itself.
     """
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
     if not 0.0 <= epsilon < (q - 1) / q:
         raise ValueError(
             f"epsilon must be in [0, {(q - 1) / q}) for q={q}, got {epsilon}")

@@ -29,7 +29,6 @@ which decoder weight schedules and convergence thresholds are derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,8 +57,9 @@ BOUNDED_EXACT_TIES = 3
 
 
 # ----------------------------------------------------------------------
-# Interval pairs and trace records: each producer orders its pair's ends,
-# save de_run's bounded p0, whose ends come from two steps and get checked
+# Interval pairs, trace records and traces: plain tuples, unchecked. Each
+# producer orders its pair's ends, save de_run's bounded p0, whose ends
+# come from two steps and get checked there
 # ----------------------------------------------------------------------
 
 class BoundedProb(NamedTuple):
@@ -76,30 +76,30 @@ class IterationRecord(NamedTuple):
     xi: BoundedProb
 
 
-@dataclass(frozen=True)
-class DeTrace:
+class DeTrace(NamedTuple):
     """Trajectory of a density-evolution run.
 
     The run's inputs stay with the caller and in the CLI's embedded
     config. records[l] holds p0 after l variable-node iterations together
     with the xi the next variable-node step would see; records[0] is the
-    channel initialization. ``converged`` and ``converged_upper`` read
-    the last record: whether its lower, respectively upper, p0 reached
-    1 - DELTA_CONV (they coincide in exact mode). A record's lower p0
-    never exceeds its upper one (``de_run`` checks the one pair that
-    could cross), so ``converged`` implies ``converged_upper``, which
-    the threshold search relies on to share its probes between the two.
-    Above threshold ``iterations_run`` (len(records) - 1) can move by
-    one with the last-bit rounding of a step, as the run stops once
-    ``p_new <= p`` holds exactly.
+    channel initialization. ``iterations_run`` is len(records) - 1.
+    ``converged`` and ``converged_upper`` read the last record: whether
+    its lower, respectively upper, p0 reached 1 - DELTA_CONV (they
+    coincide in exact mode). A record's lower p0 never exceeds its upper
+    one (``de_run`` checks the one pair that could cross), so
+    ``converged`` implies ``converged_upper``, which the threshold
+    search relies on to share its probes between the two. Above
+    threshold ``iterations_run`` can move by one with the last-bit
+    rounding of a step, as the run stops once ``p_new <= p`` holds
+    exactly.
     """
 
     mode: str
     records: list[IterationRecord]
-    iterations_run: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "iterations_run", len(self.records) - 1)
+    @property
+    def iterations_run(self) -> int:
+        return len(self.records) - 1
 
     @property
     def converged(self) -> bool:
@@ -296,8 +296,6 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     then by its pay, and the pays are summed in the order of the plan,
     so the step rounds as one that enumerates the events anew.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
     if dv < 2:
         raise ValueError(f"variable node degree must be at least 2, got {dv}")
     if not 0.0 <= xi <= 1.0:
@@ -325,8 +323,6 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     for coef, j, m, events in wrong:
         po = (coef * p_cell1 ** j * b1 ** m if coef
               else _binom_pmf(j, j + m, p_cell1)) * epsilon
-        if po == 0.0:
-            continue
         for coef, j, m, p_lo, p_up in events:
             pf = (coef * p ** j * b ** m if coef
                   else _binom_pmf(j, j + m, p)) * po
@@ -337,7 +333,6 @@ def _vn_walk(xi: float, epsilon: float, dv: int, q: int,
     return min(lo, 1.0), min(up, 1.0)
 
 
-@lru_cache(maxsize=None)
 def _tie_pay(k: int, s: int, t: int, c: int,
              exact_r: int) -> tuple[float, float]:
     """Expected 1/(argmax size) over the number r of cells also at t.
@@ -427,8 +422,6 @@ def de_run(dv: int, dc: int, q: int, epsilon: float, l_max: int = 2000,
     shows p0 as [lower, lower] (xi, the stall test and the next step keep
     the raw ends), and a gap over 1e-9 or a NaN end raises ValueError.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
     check_degrees(dv, dc)
     check_epsilon(q, epsilon)
     if l_max < 1:

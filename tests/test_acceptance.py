@@ -181,6 +181,7 @@ def test_acceptance_01_threshold_table_3_5(de_runs):
                                FROZEN_BRACKETS[(3, 5)]):
         tally = de_runs()
         res = find_threshold(3, 5, q)
+        assert 0.0 <= res.eps_star_lower <= res.eps_star_upper < (q - 1) / q
         if q == 2:
             assert res.mode == "exact"
         devs.append(abs(res.eps_star_lower - want))
@@ -201,6 +202,8 @@ def test_acceptance_02_threshold_tables_rate_half(de_runs):
                                    FROZEN_BRACKETS[(dv, dc)]):
             tally = de_runs()
             res = find_threshold(dv, dc, q)
+            assert (0.0 <= res.eps_star_lower <= res.eps_star_upper
+                    < (q - 1) / q), (dv, dc, q)
             dev = abs(res.eps_star_lower - want)
             if dev > worst[1]:
                 worst = (f"({dv},{dc}) q={q}", dev)

@@ -4,7 +4,7 @@ import pytest
 
 import smpdec.analysis
 from smpdec import __version__
-from smpdec.analysis import ThresholdResult, find_threshold, table_report
+from smpdec.analysis import find_threshold, table_report
 from smpdec.channel import shannon_limit
 from smpdec.cli import TABLE_COLUMNS, _render
 from smpdec.de import BoundedProb, DeTrace, IterationRecord
@@ -71,12 +71,6 @@ def test_threshold_rejects_too_fine_tolerance():
     for tol in (1e-6, 0.75, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="bisect_tol"):
             find_threshold(3, 5, 4, bisect_tol=tol)
-
-
-def test_threshold_result_validates_interval():
-    with pytest.raises(ValueError):
-        ThresholdResult(q=4, eps_star_lower=0.2, eps_star_upper=0.1,
-                        evaluations=1, mode="bounded")
 
 
 def test_table_report_rows_and_shannon():

@@ -5,7 +5,6 @@ tuples, channel outputs, message patterns and ball assignments. They
 share no code with the implementation under test.
 """
 
-import dataclasses
 import itertools
 import math
 import re
@@ -15,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smpdec.de
-from smpdec.channel import weight_class, weight_D, weight_ratio
+from smpdec.channel import check_epsilon, weight_class, weight_D, weight_ratio
 from smpdec.de import (DELTA_CONV, BoundedProb, IterationRecord, _binom_pmf,
                        _xi_bounds, cn_step, de_run, multinomial_max_cdf,
                        multinomial_max_eq_count_dist, resolve_mode,
@@ -539,12 +538,10 @@ def test_de_trace_verdicts_read_its_last_record(dv, dc, q, eps, mode, l_max,
         # a stall: the last step raised neither trajectory
         prev = trace.records[-2].p0
         assert last.lower <= prev.lower and last.upper <= prev.upper
-    for name in ("mode", "records", "iterations_run"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(trace, name, getattr(trace, name))
-    for name in ("converged", "converged_upper"):
+    for name in ("mode", "records", "iterations_run", "converged",
+                 "converged_upper"):
         with pytest.raises(AttributeError):
-            setattr(trace, name, True)
+            setattr(trace, name, getattr(trace, name))
 
 
 def test_de_run_below_threshold_converges():
@@ -675,11 +672,17 @@ def test_de_run_validates_inputs():
             (multinomial_max_eq_count_dist, (2, -1, 1),
              "need k, s >= 0, got k=2, s=-1"),
             (vn_step_exact, (0.1, 0.05, 3, 1), "q must be at least 2, got 1"),
+            (vn_step_exact, (0.1, 0.05, 3, 0), "q must be at least 2, got 0"),
             (vn_step_exact, (1.5, 0.05, 3, 4), "xi must be in [0, 1], got 1.5"),
             (vn_step_exact, (-0.1, 0.05, 3, 4),
              "xi must be in [0, 1], got -0.1"),
             (resolve_mode, (4, "fast"), "unknown mode 'fast'"),
             (de_run, (3, 5, 1, 0.05), "q must be at least 2, got 1"),
+            (de_run, (3, 5, 0, 0.05), "q must be at least 2, got 0"),
+            # the q rule of every entry that takes epsilon
+            (check_epsilon, (1, 0.1), "q must be at least 2, got 1"),
+            (check_epsilon, (0, 0.1), "q must be at least 2, got 0"),
+            (check_epsilon, (-1, 0.1), "q must be at least 2, got -1"),
             (de_run, (3, 5, 4, 0.05, 0), "l_max must be positive, got 0")):
         with pytest.raises(ValueError, match=re.escape(message)):
             func(*args)
